@@ -5,13 +5,13 @@ Along lambda(t) the energy expands as A_k log|t|^2 + O(1) with the integer
 slope A_k = w(v_k) - w(w_k), the difference of minimal monomial weights of the
 pair tensors.  M_k is bounded below along lambda as |t| -> 0 iff A_k <= 0, so
 the scan verdict reports the maximal slope over all enumerated subgroups.
+These are the integer subgroups of the coordinate torus (diagonal in the
+stored coordinates); the verdict says nothing about its conjugates.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -75,28 +75,12 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
 # ---------------------------------------------------------------------------
 
 
-def weight_vectors(ncoords, bound, dedup="none"):
-    """Integer vectors with entries in [-bound, bound] summing to zero.
-
-    dedup="none" enumerates every vector (A_k is not invariant under
-    coordinate permutations or sign flip, so this is the trustworthy mode);
-    dedup="signature" keeps one representative per sorted-absolute-value
-    signature, a cheaper sampling mode.
-    """
+def weight_vectors(ncoords, bound):
+    """Integer vectors with entries in [-bound, bound] summing to zero, in
+    lexicographic order."""
     if bound < 0:
         raise KEnergyError("weight bound must be nonnegative")
-    seen = set()
-    out = []
-    for vec in product(range(-bound, bound + 1), repeat=ncoords):
-        if sum(vec) != 0:
-            continue
-        if dedup == "signature":
-            key = tuple(sorted(abs(v) for v in vec))
-            if key in seen:
-                continue
-            seen.add(key)
-        out.append(vec)
-    return out
+    return [vec for vec in product(range(-bound, bound + 1), repeat=ncoords) if sum(vec) == 0]
 
 
 @dataclass(frozen=True)
@@ -110,50 +94,28 @@ class ScanReport:
     verdict: str
 
 
-def stability_scan(instance, k, bound, dedup="none") -> ScanReport:
-    """Maximal A_k over the enumerated subgroups at the given weight bound."""
+def stability_scan(instance, k, bound) -> ScanReport:
+    """Maximal A_k over the coordinate-torus subgroups at the given weight
+    bound; ties go to the lexicographically first weight vector."""
     pair = build_pair_vectors(instance, k)
-    vectors = weight_vectors(instance.N + 1, bound, dedup=dedup)
-
-    def evaluate(vec):
+    vectors = weight_vectors(instance.N + 1, bound)
+    slopes = []
+    for vec in vectors:
         lam = OneParamSubgroup(vec)
-        return tensor_min_weight(lam, pair.v) - tensor_min_weight(lam, pair.w)
-
-    threads = _thread_count()
-    if threads > 1 and len(vectors) > 64:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            slopes = list(pool.map(evaluate, vectors))
-    else:
-        slopes = [evaluate(v) for v in vectors]
-
-    best_idx = 0
-    for idx in range(1, len(vectors)):
-        if slopes[idx] > slopes[best_idx] or (
-            slopes[idx] == slopes[best_idx] and vectors[idx] < vectors[best_idx]
-        ):
-            best_idx = idx
-    max_slope = slopes[best_idx] if vectors else 0
-    worst = OneParamSubgroup(vectors[best_idx]) if vectors else OneParamSubgroup((0,) * (instance.N + 1))
+        slopes.append(tensor_min_weight(lam, pair.v) - tensor_min_weight(lam, pair.w))
+    max_slope = max(slopes)
     found = max_slope > 0
     verdict = (
-        f"destabilizer found at bound {bound}"
+        f"destabilizer found on the coordinate torus at bound {bound}"
         if found
-        else f"no destabilizer found at bound {bound}"
+        else f"no destabilizer on the coordinate torus at bound {bound}"
     )
     return ScanReport(
         k=k,
         bound=bound,
         n_evaluated=len(vectors),
         max_slope=max_slope,
-        worst=worst,
+        worst=OneParamSubgroup(vectors[slopes.index(max_slope)]),
         destabilizer_found=found,
         verdict=verdict,
     )
-
-
-def _thread_count():
-    raw = os.environ.get("KENERGY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -33,54 +33,8 @@ from .errors import (
     InvalidInstanceError,
     KEnergyError,
 )
-from .exactpoly import GaussianRational, MatrixPoly, coeff_abs_sq
+from .exactpoly import GaussianRational, MatrixPoly, coeff_abs_sq, fraction_str, laplace_det
 from .invariants import VarietyData, hyperdiscriminant_degree, format_range
-
-
-# ---------------------------------------------------------------------------
-# Determinants over polynomial entries
-# ---------------------------------------------------------------------------
-
-
-def poly_det(mat):
-    """Determinant of a square matrix of MatrixPoly entries (shared shape).
-
-    Laplace expansion along rows with memoization on the surviving column set,
-    which keeps the cost at O(2^size) subset states instead of size!.
-    """
-    size = len(mat)
-    if size == 0 or any(len(row) != size for row in mat):
-        raise KEnergyError("determinant needs a nonempty square matrix")
-    shape = mat[0][0].shape
-    memo = {}
-
-    def minor(cols):
-        if not cols:
-            return MatrixPoly.constant(shape, 1)
-        if cols in memo:
-            return memo[cols]
-        r = size - len(cols)
-        acc = MatrixPoly.zero(shape)
-        for idx, c in enumerate(cols):
-            entry = mat[r][c]
-            if entry.is_zero:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            if sub.is_zero:
-                continue
-            term = entry * sub
-            acc = acc + (term if idx % 2 == 0 else -term)
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(size)))
-
-
-def _lift(values, shape):
-    return [
-        v if isinstance(v, MatrixPoly) else MatrixPoly.constant(shape, v)
-        for v in values
-    ]
 
 
 def sylvester_resultant(f, g):
@@ -96,58 +50,17 @@ def sylvester_resultant(f, g):
         raise KEnergyError("resultant needs formal degrees >= 1")
     d1, d2 = len(f) - 1, len(g) - 1
     symbolic = [v for v in list(f) + list(g) if isinstance(v, MatrixPoly)]
-    if symbolic:
-        shape = symbolic[0].shape
-        fd = list(reversed(_lift(f, shape)))
-        gd = list(reversed(_lift(g, shape)))
-        size = d1 + d2
-        zero = MatrixPoly.zero(shape)
-        rows = []
-        for i in range(d1):  # g block
-            rows.append([zero] * i + gd + [zero] * (size - d2 - 1 - i))
-        for i in range(d2):  # f block
-            rows.append([zero] * i + fd + [zero] * (size - d1 - 1 - i))
-        return poly_det(rows)
-    # scalar path, exact over Fractions / GaussianRationals
-    fd = list(reversed([_scalar(v) for v in f]))
-    gd = list(reversed([_scalar(v) for v in g]))
-    size = d1 + d2
-    rows = []
-    for i in range(d1):
-        rows.append([0] * i + gd + [0] * (size - d2 - 1 - i))
-    for i in range(d2):
-        rows.append([0] * i + fd + [0] * (size - d1 - 1 - i))
-    return _scalar_det(rows)
+    one = MatrixPoly.constant(symbolic[0].shape, 1) if symbolic else Fraction(1)
+    zero = one - one
 
+    def lift(v):
+        return one.scale(v) if symbolic and not isinstance(v, MatrixPoly) else v
 
-def _scalar(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    return v
-
-
-def _scalar_det(rows):
-    size = len(rows)
-    memo = {}
-
-    def minor(cols):
-        if not cols:
-            return 1
-        if cols in memo:
-            return memo[cols]
-        r = size - len(cols)
-        acc = 0
-        for idx, c in enumerate(cols):
-            entry = rows[r][c]
-            if not entry:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(size)))
+    fd = [lift(v) for v in reversed(f)]
+    gd = [lift(v) for v in reversed(g)]
+    rows = [[zero] * i + gd + [zero] * (d1 - 1 - i) for i in range(d1)]
+    rows += [[zero] * i + fd + [zero] * (d2 - 1 - i) for i in range(d2)]
+    return laplace_det(rows, one)
 
 
 def binary_discriminant(d):
@@ -187,14 +100,17 @@ def dual_quadric(Q):
         raise KEnergyError("quadric matrix must be square")
     if any(Q[i][j] != Q[j][i] for i in range(m) for j in range(m)):
         raise KEnergyError("quadric matrix must be symmetric")
-    det, inv = _det_inverse(Q)
+    one = Fraction(1)
+    det = laplace_det(Q, one)
     if det == 0:
         raise KEnergyError("variety not smooth: quadric matrix is singular")
     shape = (1, m)
     terms = {}
     for i in range(m):
         for j in range(m):
-            adj = det * inv[i][j]
+            # adj(Q)[i][j] is the (j, i) cofactor
+            minor = [[Q[r][c] for c in range(m) if c != i] for r in range(m) if r != j]
+            adj = (-1) ** (i + j) * laplace_det(minor, one) if minor else one
             if adj == 0:
                 continue
             exp = [0] * m
@@ -203,30 +119,6 @@ def dual_quadric(Q):
             key = (tuple(exp),)
             terms[key] = terms.get(key, Fraction(0)) + adj
     return MatrixPoly(shape, {k: v for k, v in terms.items() if v})
-
-
-def _det_inverse(Q):
-    """Exact determinant and inverse of a rational matrix via Gauss-Jordan."""
-    m = len(Q)
-    a = [row[:] + [Fraction(1) if i == j else Fraction(0) for j in range(m)]
-         for i, row in enumerate(Q)]
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0), None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        a[col] = [v * inv_p for v in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    inv = [row[m:] for row in a]
-    return det, inv
 
 
 def quadric_poly(Q):
@@ -291,7 +183,7 @@ def generalized_cross(m):
     for j in range(m):
         cols = [c for c in range(m) if c != j]
         minor = [[MatrixPoly.variable(shape, r, c) for c in cols] for r in range(m - 1)]
-        out.append(poly_det(minor).scale((-1) ** j))
+        out.append(laplace_det(minor, MatrixPoly.constant(shape, 1)).scale((-1) ** j))
     return out
 
 
@@ -526,7 +418,7 @@ def save_instance(instance: VarietyInstance, outdir):
         "n": instance.data.n,
         "N": instance.data.N,
         "d": instance.data.d,
-        "mu": [_frac_str(m) for m in instance.data.mu_values],
+        "mu": [fraction_str(m) for m in instance.data.mu_values],
         "delta": instance.data.delta,
         "parametrization": [list(e) for e in instance.parametrization],
     }
@@ -578,6 +470,3 @@ def load_instance(path) -> VarietyInstance:
     validate_instance(instance)
     return instance
 
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"

@@ -286,11 +286,11 @@ def cmd_asymptotics(args):
 
 def cmd_scan(args):
     instance = cat.load_instance(args.instance)
-    report = asym.stability_scan(instance, args.k, args.bound, dedup=args.dedup)
+    report = asym.stability_scan(instance, args.k, args.bound)
     emit(
         {
             "config": {"subcommand": "scan", "instance": args.instance,
-                       "k": args.k, "bound": args.bound, "dedup": args.dedup},
+                       "k": args.k, "bound": args.bound},
             "result": {
                 "maxSlope": report.max_slope,
                 "worstLambda": list(report.worst.weights),
@@ -316,14 +316,10 @@ def cmd_numeric(args):
                   "mu1Exact": str(instance.data.mu_values[1])}
     elif args.check == "gauss-bonnet":
         rng = np.random.default_rng(args.seed)
-        values = []
-        for _ in range(args.trials):
-            xi = 0.3 * (rng.standard_normal((instance.N + 1,) * 2)
-                        + 1j * rng.standard_normal((instance.N + 1,) * 2))
-            xi -= np.trace(xi) / (instance.N + 1) * np.eye(instance.N + 1)
-            from scipy.linalg import expm
-
-            values.append(num.gauss_bonnet(instance, expm(xi), spec))
+        values = [
+            num.gauss_bonnet(instance, energy_mod.random_sl(instance.N + 1, rng), spec)
+            for _ in range(args.trials)
+        ]
         result = {"chernNumbers": values, "expected": 2.0}
     elif args.check == "slope":
         weights = _parse_int_list(args.xi)
@@ -356,12 +352,9 @@ def cmd_numeric(args):
 def cmd_minimize(args):
     instance = cat.load_instance(args.instance)
     rng = np.random.default_rng(args.seed)
-    size = instance.N + 1
-    xi = 0.3 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
-    xi -= np.trace(xi) / size * np.eye(size)
-    from scipy.linalg import expm
-
-    sigma0 = GroupElement.from_matrix(expm(xi), normalize=True)
+    sigma0 = GroupElement.from_matrix(
+        energy_mod.random_sl(instance.N + 1, rng), normalize=True
+    )
     trace = energy_mod.minimize_energy(
         instance, args.k, sigma0, max_iters=args.iters, step=args.step
     )
@@ -400,28 +393,29 @@ def build_parser():
                         default="json", help="output format (JSON is canonical)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser(
+    def add(name, text, func):
+        p = sub.add_parser(name, help=text, description=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = add(
         "catalog",
-        help="build a catalog variety instance directory "
+        "build a catalog variety instance directory "
         "(chow.json, hyper_i.json validated against the degree formula "
         "deg = d*sum (-1)^i (n-i+1) C(n-i,n-k) mu_i)",
-        description="build a catalog variety instance directory "
-        "(chow.json, hyper_i.json validated against the degree formula "
-        "deg = d*sum (-1)^i (n-i+1) C(n-i,n-k) mu_i)",
+        cmd_catalog,
     )
     p.add_argument("action", choices=("build", "list"))
     p.add_argument("name", nargs="?", default="")
     p.add_argument("--degree", type=int, default=None, help="rational normal curve degree")
     p.add_argument("--dim", type=int, default=None, help="quadric hypersurface dimension")
     p.add_argument("--out", default="instance_out")
-    p.set_defaults(func=cmd_catalog)
 
-    p = sub.add_parser(
+    p = add(
         "degrees",
-        help="hyperdiscriminant degree d*sum_{i<=k} (-1)^i (n-i+1) C(n-i,n-k) mu_i, "
+        "hyperdiscriminant degree d*sum_{i<=k} (-1)^i (n-i+1) C(n-i,n-k) mu_i, "
         "the format existence range [delta, n], and the inverse recovery of mu",
-        description="hyperdiscriminant degree d*sum_{i<=k} (-1)^i (n-i+1) C(n-i,n-k) mu_i, "
-        "the format existence range [delta, n], and the inverse recovery of mu",
+        cmd_degrees,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
@@ -429,47 +423,38 @@ def build_parser():
     p.add_argument("--mu", required=True, help="comma list, e.g. 1,2,2")
     p.add_argument("--delta", type=int, default=0)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_degrees)
 
-    p = sub.add_parser(
+    p = add(
         "derive-chern",
-        help="derive the top Chern class of the 1-jet bundle on X x CP^(n-k) by the "
+        "derive the top Chern class of the 1-jet bundle on X x CP^(n-k) by the "
         "bundle factorization chain and compare with the closed form "
         "sum (-1)^i (n-i+1) C(n-i,n-k) c_i w^(n-i) wFS^(n-k)",
-        description="derive the top Chern class of the 1-jet bundle on X x CP^(n-k) by the "
-        "bundle factorization chain and compare with the closed form "
-        "sum (-1)^i (n-i+1) C(n-i,n-k) c_i w^(n-i) wFS^(n-k)",
+        cmd_derive_chern,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--json", action="store_true", help="kept for compatibility; JSON is default")
-    p.set_defaults(func=cmd_derive_chern)
 
-    p = sub.add_parser(
+    p = add(
         "norm",
-        help="factorial-weighted squared norm sum |c|^2/alpha! of a polynomial file",
-        description="factorial-weighted squared norm sum |c|^2/alpha! of a polynomial file",
+        "factorial-weighted squared norm sum |c|^2/alpha! of a polynomial file",
+        cmd_norm,
     )
     p.add_argument("file")
-    p.set_defaults(func=cmd_norm)
 
-    p = sub.add_parser(
+    p = add(
         "weight",
-        help="minimal monomial weight min <column degrees, lambda>, the slope of "
+        "minimal monomial weight min <column degrees, lambda>, the slope of "
         "log|lambda(t) p|^2 against log|t|^2",
-        description="minimal monomial weight min <column degrees, lambda>, the slope of "
-        "log|lambda(t) p|^2 against log|t|^2",
+        cmd_weight,
     )
     p.add_argument("--lambda", dest="lam", required=True, help="comma list, sum zero")
     p.add_argument("file")
-    p.set_defaults(func=cmd_weight)
 
-    p = sub.add_parser(
+    p = add(
         "energy",
-        help="M_k(sigma) = sum (-1)^(i+1) C(n-i,n-k) [deg(R) LR(Delta^(n-i)) - "
+        "M_k(sigma) = sum (-1)^(i+1) C(n-i,n-k) [deg(R) LR(Delta^(n-i)) - "
         "deg(Delta^(n-i)) LR(R)] with LR the log norm ratio",
-        description="M_k(sigma) = sum (-1)^(i+1) C(n-i,n-k) [deg(R) LR(Delta^(n-i)) - "
-        "deg(Delta^(n-i)) LR(R)] with LR the log norm ratio",
+        cmd_energy,
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, required=True)
@@ -477,43 +462,35 @@ def build_parser():
     p.add_argument("--breakdown", action="store_true")
     p.add_argument("--cross-check", action="store_true",
                    help="also evaluate through the tensor pair and the recursion")
-    p.set_defaults(func=cmd_energy)
 
-    p = sub.add_parser(
+    p = add(
         "asymptotics",
-        help="integer slope A_k(lambda) = w(v_k) - w(w_k) of M_k(lambda(t)) against "
+        "integer slope A_k(lambda) = w(v_k) - w(w_k) of M_k(lambda(t)) against "
         "log|t|^2, optionally with a least-squares fit",
-        description="integer slope A_k(lambda) = w(v_k) - w(w_k) of M_k(lambda(t)) against "
-        "log|t|^2, optionally with a least-squares fit",
+        cmd_asymptotics,
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--fit", default=None, help="sample grid a:b:count or comma list")
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser(
+    p = add(
         "scan",
-        help="boundedness scan: max A_k over integer weight vectors with sum 0 and "
-        "max|a_i| <= bound (M_k bounded below along lambda iff A_k <= 0)",
-        description="boundedness scan: max A_k over integer weight vectors with sum 0 and "
-        "max|a_i| <= bound (M_k bounded below along lambda iff A_k <= 0)",
+        "boundedness scan over the coordinate torus: max A_k over integer weight "
+        "vectors with sum 0 and max|a_i| <= bound (M_k bounded below along lambda "
+        "iff A_k <= 0)",
+        cmd_scan,
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--dedup", choices=("none", "signature"), default="none")
-    p.add_argument("--json", action="store_true", help="kept for compatibility; JSON is default")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser(
+    p = add(
         "numeric",
-        help="quadrature cross-checks on curves: mu_1 = (int c_1)/V, Gauss-Bonnet "
+        "quadrature cross-checks on curves: mu_1 = (int c_1)/V, Gauss-Bonnet "
         "int c_1 = 2, the energy integral -(n+1)(n-k+1)V int phidot [c_1 - mu_1 w] "
         "and its slope, and potential path independence",
-        description="quadrature cross-checks on curves: mu_1 = (int c_1)/V, Gauss-Bonnet "
-        "int c_1 = 2, the energy integral -(n+1)(n-k+1)V int phidot [c_1 - mu_1 w] "
-        "and its slope, and potential path independence",
+        cmd_numeric,
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--check", choices=("mu", "gauss-bonnet", "slope", "path"),
@@ -522,28 +499,41 @@ def build_parser():
     p.add_argument("--samples", default="1e-1:1e-4:4")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--trials", type=int, default=3)
-    p.set_defaults(func=cmd_numeric)
 
-    p = sub.add_parser(
+    p = add(
         "minimize",
-        help="gradient descent on M_k over SL(N+1,C) with Armijo backtracking; "
+        "gradient descent on M_k over SL(N+1,C) with Armijo backtracking; "
         "directional derivatives are analytic (substitution generator)",
-        description="gradient descent on M_k over SL(N+1,C) with Armijo backtracking; "
-        "directional derivatives are analytic (substitution generator)",
+        cmd_minimize,
     )
     p.add_argument("--instance", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--iters", type=int, default=50)
     p.add_argument("--step", type=float, default=0.5)
-    p.set_defaults(func=cmd_minimize)
 
     return parser
 
 
+# Options whose value is a comma list that may start with a minus sign.
+_LIST_OPTIONS = ("--lambda", "--xi", "--mu")
+
+
+def _attach_list_values(argv):
+    """Rewrite '--lambda -1,2,-1' as '--lambda=-1,2,-1': argparse reads a
+    token that starts with '-' and is not a plain number as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _LIST_OPTIONS and token.startswith("-") and token[1:2].isdigit():
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except KEnergyError as exc:

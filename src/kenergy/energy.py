@@ -187,16 +187,6 @@ def energy_via_recursion(instance, sigma, k, ratios=None):
     return m(k)
 
 
-def energy(instance, sigma, k, method="formula"):
-    if method == "formula":
-        return energy_via_formula(instance, sigma, k).total
-    if method == "pair":
-        return energy_via_pair(instance, sigma, k)
-    if method == "recursion":
-        return energy_via_recursion(instance, sigma, k)
-    raise KEnergyError(f"unknown evaluation method '{method}'")
-
-
 # ---------------------------------------------------------------------------
 # Directional derivatives and descent
 # ---------------------------------------------------------------------------
@@ -248,6 +238,14 @@ def sl_basis(size):
         basis.append(e)
         basis.append(1j * e.copy())
     return basis
+
+
+def random_sl(size, rng, scale=0.3):
+    """exp of a seeded traceless complex matrix with Gaussian entries of the
+    given scale (a numpy array; det 1 up to rounding)."""
+    xi = scale * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    xi -= np.trace(xi) / size * np.eye(size)
+    return expm(xi)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from collections import Counter
@@ -155,10 +154,6 @@ def coeff_abs_sq(c):
     if isinstance(c, GaussianRational):
         return c.abs_sq()
     return c.real * c.real + c.imag * c.imag
-
-
-def coeff_conjugate(c):
-    return c.conjugate()
 
 
 def _term_key(exp):
@@ -347,7 +342,7 @@ class MatrixPoly:
             raise ZeroPolynomialError("column_degrees of the zero polynomial")
         counts = Counter()
         for exp in self._terms:
-            counts[_column_degree(exp)] += 1
+            counts[column_degree(exp)] += 1
         return counts
 
     def evaluate(self, matrix):
@@ -414,8 +409,8 @@ class MatrixPoly:
             terms.append(
                 {
                     "exp": [list(row) for row in exp],
-                    "re": _fraction_str(coeff.re),
-                    "im": _fraction_str(coeff.im),
+                    "re": fraction_str(coeff.re),
+                    "im": fraction_str(coeff.im),
                 }
             )
         return {"rows": self.shape[0], "cols": self.shape[1], "terms": terms}
@@ -429,32 +424,14 @@ class MatrixPoly:
             terms[exp] = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
         return cls(shape, terms)
 
-    def dumps(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
-    @classmethod
-    def loads(cls, text):
-        return cls.from_json_dict(json.loads(text))
-
-
-def poly_arithmetic(p: MatrixPoly, q, op: str) -> MatrixPoly:
-    """Dispatch add/sub/mul/scale by name (scale takes a scalar q)."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise ValueError(f"unknown operation '{op}'")
-
-
-def _fraction_str(f: Fraction) -> str:
+def fraction_str(f: Fraction) -> str:
+    """'p' or 'p/q', the exact rational format of the JSON files."""
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _column_degree(exp):
+def column_degree(exp):
+    """Column-degree vector of a single exponent matrix."""
     cols = len(exp[0])
     out = [0] * cols
     for row in exp:
@@ -463,9 +440,40 @@ def _column_degree(exp):
     return tuple(out)
 
 
-def column_degree(exp):
-    """Column-degree vector of a single exponent matrix."""
-    return _column_degree(exp)
+def laplace_det(rows, one):
+    """Determinant of a nonempty square matrix over any exact ring.
+
+    Entries may be MatrixPoly, Fraction or GaussianRational values; `one` is
+    the unit of their ring and zero is one - one.  Laplace expansion along
+    rows, memoized on the surviving column set, costs O(2^size) subset states
+    instead of size!; zero entries and zero minors are skipped.
+    """
+    size = len(rows)
+    if size == 0 or any(len(row) != size for row in rows):
+        raise ShapeMismatchError("determinant needs a nonempty square matrix")
+    zero = one - one
+    memo = {}
+
+    def minor(cols):
+        if not cols:
+            return one
+        if cols in memo:
+            return memo[cols]
+        r = size - len(cols)
+        acc = zero
+        for idx, c in enumerate(cols):
+            entry = rows[r][c]
+            if entry == zero:
+                continue
+            sub = minor(cols[:idx] + cols[idx + 1:])
+            if sub == zero:
+                continue
+            term = entry * sub
+            acc = acc + term if idx % 2 == 0 else acc - term
+        memo[cols] = acc
+        return acc
+
+    return minor(tuple(range(size)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +502,7 @@ def right_substitute(poly: MatrixPoly, g) -> MatrixPoly:
         out = {}
         for exp, coeff in poly._terms.items():
             factor = coeff
-            for c, e in enumerate(_column_degree(exp)):
+            for c, e in enumerate(column_degree(exp)):
                 if e:
                     for _ in range(e):
                         factor = factor * diag[c]

@@ -29,6 +29,7 @@ from .exactpoly import (
     as_coefficient,
     coeff_abs_sq,
     column_degree,
+    laplace_det,
     right_substitute,
 )
 
@@ -44,7 +45,9 @@ class GroupElement:
 
     @classmethod
     def from_matrix(cls, matrix, normalize=False):
-        """Wrap a matrix, checking det = 1 (exactly, or within 1e-12 for floats).
+        """Wrap a matrix, checking det = 1: exactly for exact entries; for
+        floating entries |det - 1| must be within DET_TOL times the Hadamard
+        bound prod_i |row_i|, the scale of the rounding error in det.
 
         normalize=True rescales floating input onto det = 1 instead of
         checking; the result is then det-1 to the accuracy of the floating
@@ -92,20 +95,21 @@ class GroupElement:
         return ge
 
     def _check_determinant(self):
-        size = len(self.entries)
-        if self.is_diagonal:
-            det = self.entries[0][0]
-            for i in range(1, size):
-                det = det * self.entries[i][i]
-        elif self.exact:
-            det = _exact_det([list(row) for row in self.entries])
-        else:
-            det = np.linalg.det(self.matrix)
         if self.exact:
+            det = laplace_det([list(row) for row in self.entries], GaussianRational(1))
             if det != GaussianRational(1):
                 raise KEnergyError(f"exact group element has determinant {det} != 1")
-        elif abs(complex(det) - 1.0) > DET_TOL:
-            raise KEnergyError(f"determinant {complex(det)} is not 1 within {DET_TOL}")
+            return
+        matrix = self.matrix
+        if self.is_diagonal:
+            det = complex(math.prod(self.entries[i][i] for i in range(self.size)))
+        else:
+            det = complex(np.linalg.det(matrix))
+        tol = DET_TOL * float(np.prod(np.linalg.norm(matrix, axis=1)))
+        if abs(det - 1.0) > tol:
+            raise KEnergyError(
+                f"determinant {det} is not 1 within {DET_TOL} times the Hadamard bound"
+            )
 
     @property
     def size(self):
@@ -140,28 +144,6 @@ class GroupElement:
         return GroupElement(
             entries=tuple(rows), exact=self.exact and other.exact
         )
-
-
-def _exact_det(rows):
-    size = len(rows)
-    memo = {}
-
-    def minor(cols):
-        if not cols:
-            return GaussianRational(1)
-        if cols in memo:
-            return memo[cols]
-        r = size - len(cols)
-        acc = GaussianRational(0)
-        for idx, c in enumerate(cols):
-            if not rows[r][c]:
-                continue
-            term = rows[r][c] * minor(cols[:idx] + cols[idx + 1:])
-            acc = acc + term if idx % 2 == 0 else acc - term
-        memo[cols] = acc
-        return acc
-
-    return minor(tuple(range(size)))
 
 
 @dataclass(frozen=True)
@@ -319,12 +301,6 @@ class FormalTensor:
 
     def total_degree(self):
         return sum(power * poly.total_degree() for _, poly, power in self.factors)
-
-    def describe(self):
-        return " (x) ".join(
-            f"{label}^{power}" if power != 1 else label
-            for label, poly, power in self.factors
-        ) or "1"
 
 
 def tensor_log_norm_ratio(sigma: GroupElement, tensor: FormalTensor) -> float:

@@ -1,11 +1,10 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from kenergy.catalog import build_instance
+from kenergy.energy import random_sl
 from kenergy.exactpoly import MatrixPoly
 from kenergy.pairing import GroupElement
 
@@ -46,9 +45,7 @@ def random_rational_sl(size, rng):
 
 def random_float_sl(size, rng, scale=0.3):
     """exp of a random traceless complex matrix, renormalized to det 1."""
-    xi = scale * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
-    xi -= np.trace(xi) / size * np.eye(size)
-    return GroupElement.from_matrix(expm(xi), normalize=True)
+    return GroupElement.from_matrix(random_sl(size, rng, scale), normalize=True)
 
 
 def random_exact_poly(shape, rng, max_terms=4, max_exp=2):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -331,7 +332,7 @@ def test_load_rejects_degree_mismatch(tmp_path, conic):
     save_instance(conic, tmp_path / "bad")
     disc_file = tmp_path / "bad" / "hyper_1.json"
     wrong = conic.discriminants.hyper[1] * conic.discriminants.hyper[1]
-    disc_file.write_text(wrong.dumps())
+    disc_file.write_text(json.dumps(wrong.to_json_dict()))
     with pytest.raises((DegreeMismatchError, InvalidInstanceError)):
         load_instance(tmp_path / "bad")
 

@@ -89,6 +89,17 @@ def test_asymptotics_command(capsys, conic_dir):
     assert json.loads(out)["result"]["Ak"] == -6
 
 
+def test_list_values_may_start_with_a_minus_sign(capsys, conic_dir):
+    code, out = run_cli(capsys, "asymptotics", "--instance", conic_dir, "--k", "1",
+                        "--lambda", "-1,2,-1")
+    assert code == 0
+    assert json.loads(out)["result"]["Ak"] == 0
+    code, out = run_cli(capsys, "degrees", "--n", "1", "--N", "2", "--deg", "2",
+                        "--mu", "-1,2", "--k", "1")
+    assert code == 1  # a domain error on the parsed value, not a usage error
+    assert json.loads(out)["error"]["message"] == "mu_0 must equal 1"
+
+
 def test_asymptotics_fit_csv(capsys, conic_dir):
     code, out = run_cli(capsys, "--format", "csv", "asymptotics", "--instance",
                         conic_dir, "--k", "1", "--lambda", "2,-1,-1",

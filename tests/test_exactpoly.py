@@ -7,8 +7,8 @@ from kenergy.errors import ShapeMismatchError, ZeroPolynomialError
 from kenergy.exactpoly import (
     GaussianRational,
     MatrixPoly,
+    laplace_det,
     lie_derivative,
-    poly_arithmetic,
     right_substitute,
 )
 
@@ -48,14 +48,42 @@ def test_difference_of_squares():
     assert (a0 + a1) * (a0 - a1) == a0 * a0 - a1 * a1
 
 
-def test_poly_arithmetic_dispatcher(conic_disc):
+def test_ring_operations(conic_disc):
     a0, a1, a2 = var(0), var(1), var(2)
-    assert poly_arithmetic(a1 * a1, conic_disc, "sub") == (a0 * a2).scale(4)
-    assert poly_arithmetic(a0 + a1, a0 - a1, "mul") == a0 * a0 - a1 * a1
-    assert poly_arithmetic(a0, 3, "scale") == a0.scale(3)
-    assert poly_arithmetic(a0, a1, "add") == a0 + a1
-    with pytest.raises(ValueError):
-        poly_arithmetic(a0, a1, "divide")
+    assert a1 * a1 - conic_disc == (a0 * a2).scale(4)
+    assert (a0 + a1) * (a0 - a1) == a0 * a0 - a1 * a1
+    assert a0.scale(3) == a0 + a0 + a0
+    assert (a0 + a1) - a1 == a0
+
+
+def test_laplace_det_vandermonde():
+    def vandermonde(xs):
+        return [[x ** j for j in range(len(xs))] for x in xs]
+
+    def product_of_differences(xs):
+        out = 1
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                out = out * (xs[j] - xs[i])
+        return out
+
+    fractions = [Fraction(-3, 2), Fraction(0), Fraction(1, 3), Fraction(2), Fraction(5, 7)]
+    gaussians = [GaussianRational(Fraction(1, 2), 1), GaussianRational(-2, Fraction(1, 3)),
+                 GaussianRational(0, -1), GaussianRational(3)]
+    for xs, one in ((fractions, Fraction(1)), (gaussians, GaussianRational(1))):
+        for size in range(1, len(xs) + 1):
+            got = laplace_det(vandermonde(xs[:size]), one)
+            assert got == product_of_differences(xs[:size])
+    assert laplace_det(vandermonde(fractions[:2] + fractions[:1]), Fraction(1)) == 0
+    with pytest.raises(ShapeMismatchError):
+        laplace_det([[Fraction(1), Fraction(2)]], Fraction(1))
+
+
+def test_laplace_det_of_variable_matrix():
+    shape = (2, 2)
+    x = [[MatrixPoly.variable(shape, r, c) for c in range(2)] for r in range(2)]
+    det = laplace_det(x, MatrixPoly.constant(shape, 1))
+    assert det == x[0][0] * x[1][1] - x[0][1] * x[1][0]
 
 
 def test_square_of_conic_disc(conic_disc):
@@ -191,10 +219,10 @@ def test_json_round_trip_bit_exact(conic_disc):
     rng = seeded(13)
     for _ in range(10):
         p = random_exact_poly((2, 3), rng)
-        text = p.dumps()
-        again = MatrixPoly.loads(text)
+        text = json.dumps(p.to_json_dict(), sort_keys=True)
+        again = MatrixPoly.from_json_dict(json.loads(text))
         assert again == p
-        assert again.dumps() == text
-    blob = json.loads(conic_disc.dumps())
+        assert json.dumps(again.to_json_dict(), sort_keys=True) == text
+    blob = conic_disc.to_json_dict()
     assert blob["rows"] == 1 and blob["cols"] == 3
     assert {t["re"] for t in blob["terms"]} == {"1", "-4"}

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kenergy.errors import KEnergyError, ZeroPolynomialError
@@ -193,3 +194,23 @@ def test_group_element_determinant_check():
         [[2.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], normalize=True
     )
     assert abs(complex(normalized.entries[0][0]) - 2 / 2 ** (1 / 3)) < 1e-12
+
+
+def test_group_element_accepts_large_det_one_floats():
+    # det-1 matrices with singular values 1e3 ... 1e-3: entries in the hundreds,
+    # so the floating determinant carries rounding error far above 1e-12
+    rng = np.random.default_rng(11)
+    for size in (3, 4):
+        for _ in range(10):
+            q1, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            q2, _ = np.linalg.qr(rng.standard_normal((size, size)))
+            if np.linalg.det(q1 @ q2) < 0:
+                q1[:, 0] = -q1[:, 0]
+            singular = [1e3] + [1.0] * (size - 2) + [1e-3]
+            sigma = q1 @ np.diag(singular) @ q2
+            assert np.abs(sigma).max() > 1e2
+            GroupElement.from_matrix(sigma)
+            with pytest.raises(KEnergyError):
+                GroupElement.from_matrix(sigma * 2.0 ** (1.0 / size))
+    with pytest.raises(KEnergyError):
+        GroupElement.from_matrix(np.diag([2.0, 1.0, 1.0]))
