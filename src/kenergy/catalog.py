@@ -271,7 +271,8 @@ class VarietyInstance:
 
 
 def validate_instance(instance: VarietyInstance):
-    """Check shapes, homogeneity and the degree formula for every stored polynomial."""
+    """Check shapes, multihomogeneity (one degree per row, equal across rows)
+    and the degree formula for every stored polynomial."""
     data = instance.data
     n, N = data.n, data.N
     if len(instance.parametrization) != N + 1:
@@ -292,9 +293,13 @@ def validate_instance(instance: VarietyInstance):
             )
         if poly.is_zero:
             raise InvalidInstanceError(f"format-{n - i} polynomial is zero")
-        deg = poly.homogeneous_degree()
-        if deg is None:
-            raise InvalidInstanceError(f"format-{n - i} polynomial is not homogeneous")
+        row_degrees = {tuple(sum(row) for row in exp) for exp in poly.term_dict()}
+        if len(row_degrees) != 1 or len(set(next(iter(row_degrees)))) != 1:
+            raise InvalidInstanceError(
+                f"format-{n - i} polynomial is not multihomogeneous of equal degree "
+                f"in each row: its terms have row degrees {sorted(row_degrees)}"
+            )
+        deg = sum(row_degrees.pop())
         want = hyperdiscriminant_degree(data, i)
         if deg != want:
             raise DegreeMismatchError(

@@ -389,13 +389,18 @@ def build_parser():
         "computed through Chow forms and hyperdiscriminants, with numeric "
         "quadrature cross-checks on curves.",
     )
-    parser.add_argument("--format", choices=("json", "csv", "pretty"),
-                        default="json", help="output format (JSON is canonical)")
+    def add_format(p, default):
+        p.add_argument("--format", choices=("json", "csv", "pretty"), default=default,
+                       help="output format (JSON is canonical); before or after the subcommand")
+
+    add_format(parser, "json")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, text, func):
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(func=func)
+        # SUPPRESS: a subcommand without --format keeps the value given before it
+        add_format(p, argparse.SUPPRESS)
         return p
 
     p = add(
@@ -503,7 +508,8 @@ def build_parser():
     p = add(
         "minimize",
         "gradient descent on M_k over SL(N+1,C) with Armijo backtracking; "
-        "directional derivatives are analytic (substitution generator)",
+        "the gradient is analytic: one moment matrix per stored polynomial, "
+        "k+1 substitutions per step",
         cmd_minimize,
     )
     p.add_argument("--instance", required=True)

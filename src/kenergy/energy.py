@@ -19,6 +19,7 @@ normalization so slopes match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,11 @@ from scipy.linalg import expm
 from .catalog import VarietyInstance
 from .chern import comb
 from .errors import FormatRangeError, KEnergyError
-from .exactpoly import MatrixPoly, lie_derivative, right_substitute
+from .exactpoly import MatrixPoly, right_substitute
 from .invariants import degree_vector, format_range
 from .pairing import (
     FormalTensor,
     GroupElement,
-    fs_inner,
-    fs_norm_sq,
     log_norm_ratio,
     tensor_log_norm_ratio,
 )
@@ -192,31 +191,73 @@ def energy_via_recursion(instance, sigma, k, ratios=None):
 # ---------------------------------------------------------------------------
 
 
-def _log_norm_sq_derivative(poly: MatrixPoly, sigma: GroupElement, xi) -> float:
-    """d/ds log |(sigma e^{s xi}) . p|^2 at s = 0.
+def _moment_matrix(q: MatrixPoly):
+    """M[j, c] = <L_jc q, q> / |q|^2 with L_jc = sum_r x[r][j] d/dx[r][c],
+    in the factorial-weighted inner product of pairing.fs_inner.
 
-    The substitution generator acts first, then sigma:
-    d/ds p(A sigma e^{s xi}) = (D_xi p)(A sigma).
+    L_jc sends the term of exponent beta to beta - e_rc + e_rj with the
+    factor beta[r][c], so column c of M is one pass over the terms with
+    beta[r][c] > 0 for each row r: each exponent is encoded as an integer key
+    and its images are looked up among the sorted keys (j = c maps a term
+    onto itself).
     """
-    q = right_substitute(poly.to_float(), sigma.entries)
-    qdot = right_substitute(lie_derivative(poly.to_float(), xi), sigma.entries)
-    if qdot.is_zero:
-        return 0.0
-    return 2.0 * fs_inner(qdot, q).real / fs_norm_sq(q)
+    exps, coeffs = zip(*q.term_dict().items())
+    e = np.array(exps, dtype=np.int64)  # (terms, rows, cols)
+    terms, rows, cols = e.shape
+    c = np.array([complex(v) for v in coeffs])
+    c /= np.abs(c).max()  # M is scale-free; this keeps the products finite
+    factorial = np.array([float(math.factorial(a)) for a in range(e.max() + 1)])
+    w = 1.0 / factorial[e].prod(axis=(1, 2))
+    # base max+2: an image entry max+1 must not carry into the next digit
+    base = int(e.max()) + 2
+    dtype = np.int64 if base ** (rows * cols) < 2**63 else object
+    places = np.array([base**p for p in range(rows * cols)], dtype=dtype).reshape(rows, cols)
+    keys = e.reshape(terms, -1).astype(dtype) @ places.ravel()
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    m = np.zeros((cols, cols), dtype=complex)
+    for r in range(rows):
+        for col in range(cols):
+            src = np.nonzero(e[:, r, col])[0]
+            # images[t, j]: the key of term src[t] with one unit of row r moved to column j
+            images = keys[src, None] + (places[r] - places[r, col])
+            pos = np.minimum(np.searchsorted(sorted_keys, images), terms - 1)
+            target = order[pos]
+            paired = np.where(sorted_keys[pos] == images, np.conj(c[target]) * w[target], 0)
+            m[:, col] += (c[src] * e[src, r, col]) @ paired
+    return m / np.dot(np.abs(c) ** 2, w)
+
+
+def _gradient_matrix(instance, sigma, k):
+    """G with d/ds M_k(sigma e^{s xi}) at s = 0 equal to 2 Re tr(xi G).
+
+    Write q = sigma . P.  Then d/ds log |(sigma e^{s xi}) . P|^2 is
+    2 Re <D q, q>/|q|^2 with D = sum_jc eta_jc L_jc, eta = sigma xi sigma^-1,
+    so each stored polynomial contributes one moment matrix (one
+    substitution).  Combined with the integer coefficients of
+    energy_via_formula they give the energy moment W, and
+    2 Re sum_jc eta_jc W_jc = 2 Re tr(xi G) with G = sigma^-1 W^T sigma.
+    """
+    _check_admissible(instance, k)
+    n = instance.n
+    dv = degree_vector(instance.data, k)
+
+    def moment(i):
+        return _moment_matrix(right_substitute(instance.polynomial(i).to_float(), sigma.entries))
+
+    m_chow = moment(0)
+    w = 0.0
+    for i in range(1, k + 1):
+        coeff = (-1) ** (i + 1) * comb(n - i, n - k)
+        w = w + coeff * (dv[0] * moment(i) - dv[i] * m_chow)
+    s = sigma.matrix
+    return np.linalg.solve(s, w.T @ s)
 
 
 def directional_derivative(instance, sigma, k, xi) -> float:
     """Analytic d/ds M_k(sigma e^{s xi}) at s = 0."""
-    _check_admissible(instance, k)
-    n = instance.n
-    dv = degree_vector(instance.data, k)
-    d_chow = _log_norm_sq_derivative(instance.discriminants.chow, sigma, xi)
-    total = 0.0
-    for i in range(1, k + 1):
-        coeff = (-1) ** (i + 1) * comb(n - i, n - k)
-        d_i = _log_norm_sq_derivative(instance.polynomial(i), sigma, xi)
-        total += coeff * (dv[0] * d_i - dv[i] * d_chow)
-    return total
+    g = _gradient_matrix(instance, sigma, k)
+    return 2.0 * float(np.trace(np.asarray(xi, dtype=complex) @ g).real)
 
 
 def sl_basis(size):
@@ -265,20 +306,20 @@ class MinimizeTrace:
 def minimize_energy(instance, k, sigma0, max_iters=100, step=0.5, tol=1e-8):
     """Gradient descent with Armijo backtracking, renormalized to det = 1.
 
-    The gradient comes from the analytic directional derivatives along the
-    sl basis; the trace of energies is nonincreasing by construction.
+    The gradient is the derivative along each sl basis element, read off one
+    energy moment per step (one substitution per stored polynomial); the
+    trace of energies is nonincreasing by construction.
     """
     _check_admissible(instance, k)
     sigma = sigma0
     basis = sl_basis(sigma0.size)
+    stacked = np.array(basis)
     energies = [energy_via_formula(instance, sigma, k).total]
     sigmas = [sigma]
     grad_norms = []
     converged = False
     for _ in range(max_iters):
-        grads = np.array(
-            [directional_derivative(instance, sigma, k, b) for b in basis]
-        )
+        grads = 2.0 * np.einsum("bij,ji->b", stacked, _gradient_matrix(instance, sigma, k)).real
         gnorm = float(np.linalg.norm(grads))
         grad_norms.append(gnorm)
         if gnorm < tol:

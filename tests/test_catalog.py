@@ -337,6 +337,21 @@ def test_load_rejects_degree_mismatch(tmp_path, conic):
         load_instance(tmp_path / "bad")
 
 
+def test_load_rejects_mixed_row_degrees(tmp_path, conic):
+    save_instance(conic, tmp_path / "bad")
+    chow = conic.discriminants.chow
+    terms = chow.term_dict()
+    exp = next(e for e in terms if e[0][0])
+    # move one unit of degree from row 0 to row 1: same total degree
+    moved = ((exp[0][0] - 1,) + exp[0][1:], (exp[1][0] + 1,) + exp[1][1:])
+    terms[moved] = terms.pop(exp) + terms.get(moved, 0)
+    mixed = MatrixPoly(chow.shape, terms)
+    assert mixed.homogeneous_degree() == chow.homogeneous_degree()
+    (tmp_path / "bad" / "chow.json").write_text(json.dumps(mixed.to_json_dict()))
+    with pytest.raises(InvalidInstanceError, match="row degrees"):
+        load_instance(tmp_path / "bad")
+
+
 def test_load_rejects_garbage(tmp_path):
     (tmp_path / "junk").mkdir()
     (tmp_path / "junk" / "instance.json").write_text("{not json")

@@ -110,6 +110,20 @@ def test_asymptotics_fit_csv(capsys, conic_dir):
     assert len(lines) == 5
 
 
+def test_format_before_or_after_the_subcommand(capsys, conic_dir):
+    args = ["asymptotics", "--instance", conic_dir, "--k", "1", "--lambda", "2,-1,-1",
+            "--fit", "1e-1:1e-4:4"]
+    code, before = run_cli(capsys, "--format", "csv", *args)
+    assert code == 0
+    code, after = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert after == before
+    assert before.splitlines()[0] == "Mk,t"
+    code, plain = run_cli(capsys, *args)
+    assert code == 0
+    assert json.loads(plain)["result"]["rows"]
+
+
 def test_scan_command(capsys, conic_dir):
     code, out = run_cli(capsys, "scan", "--instance", conic_dir, "--k", "1",
                         "--bound", "2")

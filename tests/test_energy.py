@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import kenergy.energy as energy_mod
 from kenergy.energy import (
+    _moment_matrix,
     build_pair_vectors,
     directional_derivative,
     energy_via_formula,
@@ -15,7 +17,8 @@ from kenergy.energy import (
 )
 from kenergy.catalog import DiscriminantSet, VarietyInstance
 from kenergy.errors import FormatRangeError
-from kenergy.pairing import GroupElement
+from kenergy.exactpoly import MatrixPoly, lie_derivative
+from kenergy.pairing import GroupElement, fs_inner, fs_norm_sq
 from conftest import random_float_sl, random_rational_sl, seeded
 
 
@@ -200,22 +203,76 @@ def test_breakdown_fields(quadric_surface):
     assert abs(sum(t.contribution for t in breakdown.terms) - breakdown.total) < 1e-12
 
 
-def test_directional_derivative_matches_finite_differences(conic):
+def test_directional_derivative_matches_finite_differences(conic, twisted_cubic, quadric_surface):
+    cases = [(conic, 1, 5), (twisted_cubic, 1, 2), (quadric_surface, 1, 2), (quadric_surface, 2, 2)]
     rng = np.random.default_rng(55)
     h = 1e-5
-    for trial in range(5):
-        sigma = random_float_sl(3, rng)
-        xi = 0.7 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        xi -= np.trace(xi) / 3 * np.eye(3)
-        analytic = directional_derivative(conic, sigma, 1, xi)
-        plus = energy_via_formula(
-            conic, GroupElement.from_matrix(sigma.matrix @ expm(h * xi), normalize=True), 1
-        ).total
-        minus = energy_via_formula(
-            conic, GroupElement.from_matrix(sigma.matrix @ expm(-h * xi), normalize=True), 1
-        ).total
-        fd = (plus - minus) / (2 * h)
-        assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd))
+    for instance, k, trials in cases:
+        size = instance.N + 1
+        for _ in range(trials):
+            sigma = random_float_sl(size, rng)
+            xi = 0.7 * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+            xi -= np.trace(xi) / size * np.eye(size)
+            analytic = directional_derivative(instance, sigma, k, xi)
+            plus = energy_via_formula(
+                instance, GroupElement.from_matrix(sigma.matrix @ expm(h * xi), normalize=True), k
+            ).total
+            minus = energy_via_formula(
+                instance, GroupElement.from_matrix(sigma.matrix @ expm(-h * xi), normalize=True), k
+            ).total
+            fd = (plus - minus) / (2 * h)
+            assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd))
+
+
+def test_derivative_along_the_identity_vanishes(conic, twisted_cubic, quadric_surface):
+    # sigma e^{s I} scales each stored polynomial by e^{s deg}, and the degree
+    # combination of the formula cancels: M_k is constant along I
+    cases = [(conic, 1), (twisted_cubic, 1), (quadric_surface, 1), (quadric_surface, 2)]
+    rng = np.random.default_rng(8)
+    for instance, k in cases:
+        size = instance.N + 1
+        for _ in range(2):
+            sigma = random_float_sl(size, rng, scale=0.5)
+            assert abs(directional_derivative(instance, sigma, k, np.eye(size))) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture, k", [("conic", 1), ("quadric_surface", 2)])
+def test_gradient_substitutes_once_per_stored_polynomial(request, monkeypatch, fixture, k):
+    instance = request.getfixturevalue(fixture)
+    calls = []
+    substitute = energy_mod.right_substitute
+
+    def counting(poly, g):
+        calls.append(poly.shape)
+        return substitute(poly, g)
+
+    # the gradient is the only caller of energy.right_substitute; energies go
+    # through pairing.log_norm_ratio
+    monkeypatch.setattr(energy_mod, "right_substitute", counting)
+    sigma0 = random_float_sl(instance.N + 1, np.random.default_rng(4), scale=0.5)
+    minimize_energy(instance, k, sigma0, max_iters=1)
+    assert len(calls) == k + 1  # not 2 (k + 1) (2 (N + 1)^2 - 2)
+
+
+def test_moment_matrix_against_lie_derivative_pairing():
+    # M[j, c] = <L_jc q, q>/|q|^2 against the pairing of the Lie derivative
+    # along E_jc (exactpoly.lie_derivative, pairing.fs_inner); the (3, 8)
+    # shape with exponents up to 10 has exponent keys beyond int64
+    rng = seeded(21)
+    for shape, top in (((2, 3), 3), ((3, 8), 10)):
+        terms = {}
+        for _ in range(30):
+            exp = tuple(tuple(rng.randint(0, top) for _ in range(shape[1])) for _ in range(shape[0]))
+            terms[exp] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+        q = MatrixPoly(shape, terms)
+        moment = _moment_matrix(q)
+        cols = shape[1]
+        for j in range(cols):
+            for c in range(cols):
+                xi = np.zeros((cols, cols), dtype=complex)
+                xi[j, c] = 1.0
+                want = fs_inner(lie_derivative(q, xi), q) / fs_norm_sq(q)
+                assert abs(moment[j, c] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_identity_gradient_from_the_oracle(conic):
