@@ -358,6 +358,11 @@ def cmd_minimize(args):
     trace = energy_mod.minimize_energy(
         instance, args.k, sigma0, max_iters=args.iters, step=args.step
     )
+    norms = trace.gradient_norms
+    if len(norms) < len(trace.sigmas):  # the iteration cap ended the run
+        basis = np.array(energy_mod.sl_basis(instance.N + 1))
+        norms += (float(np.linalg.norm(
+            energy_mod.sl_gradient(instance, trace.sigmas[-1], args.k, basis))),)
     emit(
         {
             "config": {"subcommand": "minimize", "instance": args.instance,
@@ -368,7 +373,7 @@ def cmd_minimize(args):
                 "finalEnergy": trace.final_energy,
                 "steps": len(trace.energies) - 1,
                 "converged": trace.converged,
-                "finalGradientNorm": trace.gradient_norms[-1],
+                "finalGradientNorm": norms[-1],
                 "energies": list(trace.energies),
             },
         },

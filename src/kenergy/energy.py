@@ -260,6 +260,11 @@ def directional_derivative(instance, sigma, k, xi) -> float:
     return 2.0 * float(np.trace(np.asarray(xi, dtype=complex) @ g).real)
 
 
+def sl_gradient(instance, sigma, k, basis):
+    """d/ds M_k(sigma e^{s b}) at s = 0 for each b of a stacked basis (b, N+1, N+1)."""
+    return 2.0 * np.einsum("bij,ji->b", basis, _gradient_matrix(instance, sigma, k)).real
+
+
 def sl_basis(size):
     """Real basis of sl(size, C): elementary shears, i-shears, and (i-)diagonal
     traceless differences."""
@@ -291,7 +296,11 @@ def random_sl(size, rng, scale=0.3):
 
 @dataclass(frozen=True)
 class MinimizeTrace:
-    """Descent iterates: sigmas, energies and gradient norms, in step order."""
+    """Descent iterates: sigmas, energies and gradient norms, in step order.
+
+    gradient_norms[i] is the norm at sigmas[i]; when the iteration cap ends
+    the run, the last sigma has none (one entry fewer than sigmas).
+    """
 
     sigmas: tuple
     energies: tuple
@@ -319,7 +328,7 @@ def minimize_energy(instance, k, sigma0, max_iters=100, step=0.5, tol=1e-8):
     grad_norms = []
     converged = False
     for _ in range(max_iters):
-        grads = 2.0 * np.einsum("bij,ji->b", stacked, _gradient_matrix(instance, sigma, k)).real
+        grads = sl_gradient(instance, sigma, k, stacked)
         gnorm = float(np.linalg.norm(grads))
         grad_norms.append(gnorm)
         if gnorm < tol:
@@ -344,8 +353,6 @@ def minimize_energy(instance, k, sigma0, max_iters=100, step=0.5, tol=1e-8):
         if not accepted:
             converged = gnorm < 10 * tol
             break
-    if len(grad_norms) < len(energies):
-        grad_norms.append(grad_norms[-1] if grad_norms else 0.0)
     return MinimizeTrace(
         sigmas=tuple(sigmas),
         energies=tuple(energies),

@@ -9,24 +9,27 @@ out integral):
   c_1 density      -(1/(4 pi)) Laplacian_z log h, integrating to chi = 2
   energy, k = 1    -(n+1)(n-k+1) V  int_0^1 int_X phidot [c_1 - mu_1 omega] dt
 
-Surface integration works in log-polar coordinates z = exp(u + i theta) per
+Surface integration works in log-polar coordinates w = u + i theta = log z per
 chart (|z| <= 1 in the affine chart, |w| <= 1 in the chart at infinity), with
-Gauss-Legendre nodes in u and a trapezoidal angular rule.  In these
-coordinates the metric density against du dtheta is
+Gauss-Legendre nodes in u and a trapezoidal angular rule.  With U = sigma T,
+U' = dU/dw = sigma diag(p) T and U'' = sigma diag(p^2) T for T_i = z^{p_i},
+the Pluecker identities for associated curves give both densities against
+du dtheta in closed form:
 
-  htilde := h |z|^2 = sum_{i<j} |U_i V_j - U_j V_i|^2 / |U|^4,
+  htilde := h |z|^2 = |U ^ U'|^2 / |U|^4,
+  dd-bar log htilde = |U|^2 |U ^ U' ^ U''|^2 / |U ^ U'|^4 - 2 htilde,
 
-with U = sigma T and V = sigma (z T'), a cancellation-free Lagrange-identity
-form that stays accurate through severe torus degenerations; since
-log h = log htilde - 2u, the curvature Laplacian may be taken on log htilde
-directly.  Quadrature nodes are evaluated in parallel-friendly vectorized
-batches and summed in fixed order.
+so omega = htilde / pi and c_1 = -(1/pi) dd-bar log htilde (Laplacian =
+4 dd-bar).  Wedge norms are sums of squared minors, a cancellation-free form
+that stays accurate through severe torus degenerations.  Grid points are
+evaluated in fixed blocks and summed in fixed order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -52,12 +55,6 @@ class CurveChart:
         k = np.asarray(self.powers, dtype=float)[:, None]
         return z[None, :] ** k
 
-    def z_sections_prime(self, z):
-        """z * T'(z) elementwise, the log-derivative-friendly combination."""
-        z = np.asarray(z, dtype=complex)
-        k = np.asarray(self.powers, dtype=float)[:, None]
-        return k * (z[None, :] ** k)
-
     def sections_prime(self, z):
         z = np.asarray(z, dtype=complex)
         k = np.asarray(self.powers, dtype=float)[:, None]
@@ -82,20 +79,16 @@ def curve_charts(instance: VarietyInstance):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and tolerances for the curve quadrature."""
+    """Node counts and the radial cutoff for the curve quadrature."""
 
     radial: int = 160
     angular: int = 64
     path_nodes: int = 24
-    fd_step: float = 1e-3
     u_min: float = -25.0
-    tol: float = 1e-6
 
     def __post_init__(self):
         if self.radial < 8 or self.angular < 8 or self.path_nodes < 8:
             raise KEnergyError("node counts must be at least 8")
-        if self.tol <= 0:
-            raise KEnergyError("tolerance must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +126,7 @@ def bergman_metric(chart: CurveChart, sigma, z):
 def metric_density_log(chart: CurveChart, S, u, theta):
     """log( h(z) |z|^2 ) at z = exp(u + i theta), the du dtheta density of
     omega up to 1/pi."""
-    z = np.exp(u + 1j * theta)
-    U = S @ chart.sections(z)
-    V = S @ chart.z_sections_prime(z)
-    return np.log(_gram_ratio(U, V))
+    return np.log(_plucker_fields(S, chart.powers, chart.sections(np.exp(u + 1j * theta)))[2])
 
 
 def chern1_density(chart: CurveChart, sigma, z, step=None):
@@ -201,19 +191,43 @@ def _log_polar_grid(u_min, radial, angular):
     return uu.ravel(), tt.ravel(), ww.ravel()
 
 
-def _surface_fields(chart, S, u, theta, fd_step):
-    """omega density h~/pi and c_1 density -(1/4pi) Lap log h~, per du dtheta."""
-    f0 = metric_density_log(chart, S, u, theta)
-    lap = np.zeros_like(f0)
-    for du, dth in ((fd_step, 0.0), (0.0, fd_step)):
-        fp1 = metric_density_log(chart, S, u + du, theta + dth)
-        fm1 = metric_density_log(chart, S, u - du, theta - dth)
-        fp2 = metric_density_log(chart, S, u + 2 * du, theta + 2 * dth)
-        fm2 = metric_density_log(chart, S, u - 2 * du, theta - 2 * dth)
-        lap += (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12 * fd_step**2)
-    omega = np.exp(f0) / math.pi
-    c1 = -lap / (4.0 * math.pi)
-    return omega, c1
+_BLOCK = 4096  # grid points per evaluation, so the temporaries stay small
+
+
+def _chart_blocks(chart, u_min, radial, angular):
+    """[(T, weights)] on the chart's log-polar grid, in blocks of _BLOCK points."""
+    u, theta, w = _log_polar_grid(u_min, radial, angular)
+    T = chart.sections(np.exp(u + 1j * theta))
+    return [(T[:, s:s + _BLOCK], w[s:s + _BLOCK]) for s in range(0, w.size, _BLOCK)]
+
+
+def _plucker_fields(S, powers, T, gradient=False):
+    """(U, |U|^2, htilde, dd-bar log htilde, d_w log htilde) at U = S T.
+
+    Derivatives are in w = log z: U' = S diag(p) T and U'' = S diag(p^2) T.
+    d_w log htilde = <U ^ U'', U ^ U'> / |U ^ U'|^2 - 2 <U', U> / |U|^2 is
+    computed only when gradient is set (it is None otherwise).
+    """
+    p = np.asarray(powers, dtype=float)
+    U, U1, U2 = np.split(np.vstack([S, S * p, S * (p * p)]) @ T, 3)
+    nU = (U.real**2 + U.imag**2).sum(axis=0)
+    wedge2 = wedge3 = d_wedge2 = 0.0
+    minors12 = {}
+    for i, j in combinations(range(len(p)), 2):
+        a = U[i] * U1[j] - U[j] * U1[i]
+        wedge2 = wedge2 + (a.real**2 + a.imag**2)
+        if gradient:
+            d_wedge2 = d_wedge2 + (U[i] * U2[j] - U[j] * U2[i]) * a.conj()
+        minors12[i, j] = U1[i] * U2[j] - U1[j] * U2[i]
+    for i, j, k in combinations(range(len(p)), 3):
+        c = U[i] * minors12[j, k] - U[j] * minors12[i, k] + U[k] * minors12[i, j]
+        wedge3 = wedge3 + (c.real**2 + c.imag**2)
+    h = wedge2 / nU**2
+    ddbar = nU * wedge3 / wedge2**2 - 2.0 * h
+    d_log = None
+    if gradient:
+        d_log = d_wedge2 / wedge2 - 2.0 * np.einsum("im,im->m", U1, U.conj()) / nU
+    return U, nU, h, ddbar, d_log
 
 
 def _auto_u_min(spec: QuadratureSpec, xi=None):
@@ -236,10 +250,10 @@ def volume_and_chern(instance, sigma=None, spec=QuadratureSpec(), xi=None):
     vol = 0.0
     chern = 0.0
     for chart in curve_charts(instance):
-        u, theta, w = _log_polar_grid(u_min, radial, spec.angular)
-        omega, c1 = _surface_fields(chart, S, u, theta, spec.fd_step)
-        vol += float(np.sum(w * omega))
-        chern += float(np.sum(w * c1))
+        for T, w in _chart_blocks(chart, u_min, radial, spec.angular):
+            _, _, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
+            vol += float(np.sum(w * h)) / math.pi
+            chern -= float(np.sum(w * ddbar)) / math.pi
     return vol, chern
 
 
@@ -283,62 +297,34 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
     mu1 = float(instance.data.mu_values[1])
     vol = float(instance.data.d)
     herm = xi + xi.conj().T
-    identity = np.eye(instance.N + 1, dtype=complex)
     total = 0.0
     for chart in curve_charts(instance):
-        u, theta, w = _log_polar_grid(u_min, radial, spec.angular)
-        z = np.exp(u + 1j * theta)
-        T = chart.sections(z)
+        blocks = _chart_blocks(chart, u_min, radial, spec.angular)
         if path == "affine":
-            S1 = expm(xi)
-            U1 = S1 @ T
-            nT = np.einsum("im,im->m", T, T.conj()).real
-            n1 = np.einsum("im,im->m", U1, U1.conj()).real
-            phidot = np.log(n1 / nT)  # d/dt of t*phi_1
-
-            def blended_log(du, dth):
-                l0 = metric_density_log(chart, identity, u + du, theta + dth)
-                l1 = metric_density_log(chart, S1, u + du, theta + dth)
-                return l0, l1
-
-            stencil = {}
-            for du, dth in (
-                (0.0, 0.0),
-                (spec.fd_step, 0.0), (-spec.fd_step, 0.0),
-                (2 * spec.fd_step, 0.0), (-2 * spec.fd_step, 0.0),
-                (0.0, spec.fd_step), (0.0, -spec.fd_step),
-                (0.0, 2 * spec.fd_step), (0.0, -2 * spec.fd_step),
-            ):
-                stencil[(du, dth)] = blended_log(du, dth)
-            for tau, wtau in zip(taus, wtaus):
-                def hlog(key):
-                    l0, l1 = stencil[key]
-                    return np.log((1 - tau) * np.exp(l0) + tau * np.exp(l1))
-
-                f0 = hlog((0.0, 0.0))
-                lap = np.zeros_like(f0)
-                for axis in ((spec.fd_step, 0.0), (0.0, spec.fd_step)):
-                    du, dth = axis
-                    lap += (
-                        -hlog((2 * du, 2 * dth))
-                        + 16 * hlog((du, dth))
-                        - 30 * f0
-                        + 16 * hlog((-du, -dth))
-                        - hlog((-2 * du, -2 * dth))
-                    ) / (12 * spec.fd_step**2)
-                omega = np.exp(f0) / math.pi
-                c1 = -lap / (4.0 * math.pi)
-                total += wtau * float(np.sum(w * phidot * (c1 - mu1 * omega)))
+            # h_tau = (1 - tau) htilde_0 + tau htilde_1 with D = dd-bar and
+            # d = d_w: D log h_tau = D h_tau / h_tau - |d h_tau|^2 / h_tau^2,
+            # where D htilde = htilde (D log htilde + |d log htilde|^2).
+            ends = (np.eye(instance.N + 1), expm(xi))
+            for T, w in blocks:
+                (_, nT, h0, L0, g0), (_, n1, h1, L1, g1) = (
+                    _plucker_fields(S, chart.powers, T, gradient=True) for S in ends)
+                phidot = np.log(n1 / nT)  # d/dt of t*phi_1
+                D0, D1 = h0 * (L0 + np.abs(g0) ** 2), h1 * (L1 + np.abs(g1) ** 2)
+                d0, d1 = h0 * g0, h1 * g1
+                for tau, wtau in zip(taus, wtaus):
+                    h = (1 - tau) * h0 + tau * h1
+                    dh = (1 - tau) * d0 + tau * d1
+                    ddbar = ((1 - tau) * D0 + tau * D1) / h - (dh.real**2 + dh.imag**2) / h**2
+                    total -= wtau * float(np.sum(w * phidot * (ddbar + mu1 * h))) / math.pi
             continue
         for tau, wtau in zip(taus, wtaus):
             path_t = tau * tau if path == "quadratic" else tau
             scale = 2.0 * tau if path == "quadratic" else 1.0
             S = expm(xi * path_t)
-            omega, c1 = _surface_fields(chart, S, u, theta, spec.fd_step)
-            U = S @ T
-            nu = np.einsum("im,im->m", U, U.conj()).real
-            phidot = scale * np.einsum("im,im->m", herm @ U, U.conj()).real / nu
-            total += wtau * float(np.sum(w * phidot * (c1 - mu1 * omega)))
+            for T, w in blocks:
+                U, nU, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
+                phidot = scale * np.einsum("im,im->m", herm @ U, U.conj()).real / nU
+                total -= wtau * float(np.sum(w * phidot * (ddbar + mu1 * h))) / math.pi
     n, k = 1, 1
     return -(n + 1) * (n - k + 1) * vol * total
 

@@ -1,8 +1,13 @@
 import json
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from kenergy.catalog import load_instance
 from kenergy.cli import build_parser, main
+from kenergy.energy import energy_via_formula, minimize_energy, random_sl, sl_basis
+from kenergy.pairing import GroupElement
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +212,28 @@ def test_numeric_mu_command(capsys, conic_dir):
     result = json.loads(out)["result"]
     assert abs(result["mu1"] - 1.0) < 1e-5
     assert abs(result["volume"] - 2.0) < 1e-5
+
+
+def test_minimize_final_gradient_norm_is_at_the_final_sigma(capsys, conic_dir):
+    code, out = run_cli(capsys, "minimize", "--instance", conic_dir, "--k", "1",
+                        "--seed", "5", "--iters", "3")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["steps"] == 3 and not result["converged"]
+    # the same seeded run gives the final sigma; the oracle is the norm of
+    # central differences of the energy along the sl basis there
+    instance = load_instance(conic_dir)
+    sigma0 = GroupElement.from_matrix(random_sl(3, np.random.default_rng(5)), normalize=True)
+    sigma = minimize_energy(instance, 1, sigma0, max_iters=3).sigmas[-1]
+    h = 1e-5
+    fd = []
+    for b in sl_basis(3):
+        plus, minus = (
+            energy_via_formula(
+                instance, GroupElement.from_matrix(sigma.matrix @ expm(s * b), normalize=True), 1
+            ).total
+            for s in (h, -h)
+        )
+        fd.append((plus - minus) / (2 * h))
+    want = float(np.linalg.norm(fd))
+    assert abs(result["finalGradientNorm"] - want) <= 1e-6 * want

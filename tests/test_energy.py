@@ -293,6 +293,17 @@ def test_minimizer_descends_from_identity(conic):
     assert trace.final_energy < 0.0  # strictly below M_1(identity) = 0
 
 
+def test_gradient_norms_belong_to_their_sigmas(conic):
+    # a capped run leaves the last sigma without a norm instead of repeating
+    # the one before
+    sigma0 = random_float_sl(3, np.random.default_rng(8), scale=0.5)
+    trace = minimize_energy(conic, 1, sigma0, max_iters=2)
+    assert len(trace.sigmas) == 3 and len(trace.gradient_norms) == 2
+    for sigma, norm in zip(trace.sigmas, trace.gradient_norms):
+        grads = [directional_derivative(conic, sigma, 1, b) for b in sl_basis(3)]
+        assert abs(np.linalg.norm(grads) - norm) <= 1e-12 * norm
+
+
 def test_minimizer_descends_from_seeds(conic):
     rng = np.random.default_rng(99)
     for _ in range(3):

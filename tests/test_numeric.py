@@ -1,13 +1,16 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kenergy.energy import random_sl
 from kenergy.errors import KEnergyError
 from kenergy.numeric import (
     CurveChart,
     QuadratureSpec,
+    _plucker_fields,
     bergman_metric,
     chern1_density,
     curve_charts,
@@ -115,10 +118,27 @@ def test_chern1_density_round_conic_positive(conic_charts):
     sigma = np.diag([1.0 / root6, math.sqrt(2.0) / root6, 1.0 / root6]).astype(complex)
     assert chern1_density(affine, sigma, 0.0) > 0
     assert chern1_density(affine, sigma, 1.0) > 0
-    # constant curvature: density / metric is the same at both points
-    ratio0 = chern1_density(affine, sigma, 0.0) / bergman_metric(affine, sigma, 0.0)
-    ratio1 = chern1_density(affine, sigma, 1.0) / bergman_metric(affine, sigma, 1.0)
-    assert abs(ratio0 - ratio1) < 1e-6
+    # constant curvature: c_1 = omega pointwise (both integrate to 2), read
+    # off the closed-form densities (per du dtheta, so z = 0 is left out)
+    z = np.array([1e-3, 0.3 + 0.4j, 1.0, -0.9j, 0.6 - 0.2j, 2.5j])
+    _, _, h, ddbar, _ = _plucker_fields(sigma, affine.powers, affine.sections(z))
+    assert np.max(np.abs(-ddbar / h - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("fixture", ["conic", "twisted_cubic"])
+def test_closed_form_chern_density_against_the_stencil(request, fixture):
+    # independent oracle: chern1_density takes a z-coordinate finite-difference
+    # Laplacian of log h; the closed form is per du dtheta, so it is divided
+    # by |z|^2 to give the density per dx dy
+    instance = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(41)
+    sigma = random_sl(instance.N + 1, rng)
+    for chart in curve_charts(instance):
+        z = rng.uniform(0.05, 1.0, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+        ddbar = _plucker_fields(sigma, chart.powers, chart.sections(z))[3]
+        closed = -ddbar / math.pi / np.abs(z) ** 2
+        stencil = np.array([chern1_density(chart, sigma, point) for point in z])
+        assert np.max(np.abs(closed / stencil - 1.0)) < 1e-6
 
 
 def test_chern1_density_identity_metric_signs(conic_charts):
@@ -177,6 +197,34 @@ def test_path_independence(conic):
     assert abs(exp_value - affine_value) < 1e-5
 
 
+def _hermitian(size, rng):
+    """A seeded Hermitian traceless xi with eigenvalues 1/2 ... -1/2."""
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+    return q @ np.diag(np.linspace(0.5, -0.5, size)) @ q.conj().T
+
+
+def test_paths_agree_at_a_hermitian_xi(conic, twisted_cubic):
+    # the paths share the surface nodes and the curvature is exact, so they
+    # differ only by the path-node quadrature
+    rng = np.random.default_rng(17)
+    for instance in (conic, twisted_cubic):
+        xi = _hermitian(instance.N + 1, rng)
+        values = [energy_quadrature(instance, xi, path=path)
+                  for path in ("exponential", "quadratic", "affine")]
+        assert max(values) - min(values) < 1e-10
+
+
+def test_gauss_bonnet_to_rounding(conic, twisted_cubic):
+    # exact curvature leaves only the surface quadrature's error; at this
+    # RNC(3) sigma the default 64 angular nodes alone miss by 2.8e-10, so the
+    # angular rule is doubled
+    rng = np.random.default_rng(23)
+    spec = QuadratureSpec(angular=128)
+    for instance in (conic, twisted_cubic):
+        _, chern = volume_and_chern(instance, expm(_hermitian(instance.N + 1, rng)), spec)
+        assert abs(chern - 2.0) < 1e-10
+
+
 def test_numeric_slope_short_grid(conic):
     report = numeric_slope(conic, (2, -1, -1), [1e-1, 10 ** -1.75, 10 ** -2.5], FAST, -6)
     assert abs(report.fit_slope - (-6)) < 0.25  # coarse grid, sanity only
@@ -185,8 +233,8 @@ def test_numeric_slope_short_grid(conic):
 def test_quadrature_spec_validation():
     with pytest.raises(KEnergyError):
         QuadratureSpec(radial=4)
-    with pytest.raises(KEnergyError):
-        QuadratureSpec(tol=-1.0)
+    # node counts and the radial cutoff; no step or tolerance knobs
+    assert [f.name for f in fields(QuadratureSpec)] == ["radial", "angular", "path_nodes", "u_min"]
 
 
 def test_chart_requires_constant_section():
