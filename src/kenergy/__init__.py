@@ -14,9 +14,8 @@ from .energy import (
     EnergyBreakdown,
     PairVectors,
     build_pair_vectors,
+    energy_coefficients,
     energy_via_formula,
-    energy_via_pair,
-    energy_via_recursion,
     minimize_energy,
 )
 from .errors import KEnergyError
@@ -45,8 +44,6 @@ from .pairing import (
     fs_norm_sq,
     log_norm_ratio,
     min_weight,
-    tensor_log_norm_ratio,
-    tensor_min_weight,
 )
 
 __version__ = "0.1.0"

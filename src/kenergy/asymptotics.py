@@ -2,11 +2,13 @@
 fits, and the torus boundedness scan.
 
 Along lambda(t) the energy expands as A_k log|t|^2 + O(1) with the integer
-slope A_k = w(v_k) - w(w_k), the difference of minimal monomial weights of the
-pair tensors.  M_k is bounded below along lambda as |t| -> 0 iff A_k <= 0, so
-the scan verdict reports the maximal slope over all enumerated subgroups.
-These are the integer subgroups of the coordinate torus (diagonal in the
-stored coordinates); the verdict says nothing about its conjugates.
+slope A_k = w(v_k) - w(w_k) = sum_i c_i w(Delta_i): the minimal monomial
+weights w of the stored polynomials (i = 0 the Chow form) combined with the
+coefficient vector c of `energy.energy_coefficients`.  M_k is bounded below
+along lambda as |t| -> 0 iff A_k <= 0, so the scan verdict reports the maximal
+slope over all enumerated subgroups.  These are the integer subgroups of the
+coordinate torus (diagonal in the stored coordinates); the verdict says
+nothing about its conjugates.
 """
 
 from __future__ import annotations
@@ -17,15 +19,18 @@ from itertools import product
 
 import numpy as np
 
-from .energy import build_pair_vectors, energy_via_formula
+from .energy import energy_coefficients, energy_via_formula
 from .errors import KEnergyError
-from .pairing import OneParamSubgroup, tensor_min_weight
+from .pairing import OneParamSubgroup, min_weight
+
+
+def _slope(instance, coefficients, lam):
+    return sum(c * min_weight(lam, instance.polynomial(i)) for i, c in enumerate(coefficients))
 
 
 def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
-    """A_k(lambda) = w(v_k) - w(w_k), exact."""
-    pair = build_pair_vectors(instance, k)
-    return tensor_min_weight(lam, pair.v) - tensor_min_weight(lam, pair.w)
+    """A_k(lambda) = sum_i c_i w_lambda(Delta_i), exact."""
+    return _slope(instance, energy_coefficients(instance, k), lam)
 
 
 @dataclass(frozen=True)
@@ -97,12 +102,9 @@ class ScanReport:
 def stability_scan(instance, k, bound) -> ScanReport:
     """Maximal A_k over the coordinate-torus subgroups at the given weight
     bound; ties go to the lexicographically first weight vector."""
-    pair = build_pair_vectors(instance, k)
+    coefficients = energy_coefficients(instance, k)
     vectors = weight_vectors(instance.N + 1, bound)
-    slopes = []
-    for vec in vectors:
-        lam = OneParamSubgroup(vec)
-        slopes.append(tensor_min_weight(lam, pair.v) - tensor_min_weight(lam, pair.w))
+    slopes = [_slope(instance, coefficients, OneParamSubgroup(vec)) for vec in vectors]
     max_slope = max(slopes)
     found = max_slope > 0
     verdict = (

@@ -238,15 +238,18 @@ def cmd_energy(args):
                 "coefficient": t.coefficient,
                 "degChow": t.deg_chow,
                 "degHyper": t.deg_hyper,
-                "lrHyper": t.lr_hyper,
-                "lrChow": t.lr_chow,
+                "lrHyper": t.value_hyper,
+                "lrChow": t.value_chow,
                 "contribution": t.contribution,
             }
             for t in breakdown.terms
         ]
+    identity_holds = True
     if args.cross_check:
-        result["pair"] = energy_mod.energy_via_pair(instance, sigma, args.k)
-        result["recursion"] = energy_mod.energy_via_recursion(instance, sigma, args.k)
+        coefficients = energy_mod.energy_coefficients(instance, args.k)
+        identity_holds = energy_mod.pair_exponents(instance, args.k) == coefficients
+        result["coefficients"] = list(coefficients)
+        result["pairIdentity"] = "PASS" if identity_holds else "FAIL"
     emit(
         {
             "config": {"subcommand": "energy", "instance": args.instance,
@@ -257,7 +260,7 @@ def cmd_energy(args):
         },
         args.format,
     )
-    return 0
+    return 0 if identity_holds else 1
 
 
 def cmd_asymptotics(args):
@@ -471,7 +474,8 @@ def build_parser():
     p.add_argument("--sigma", required=True, help="JSON matrix file")
     p.add_argument("--breakdown", action="store_true")
     p.add_argument("--cross-check", action="store_true",
-                   help="also evaluate through the tensor pair and the recursion")
+                   help="also print the integer vector c with M_k = sum_i c_i LR(Delta_i) "
+                   "and check that the exponents of (v_k, w_k) net to it")
 
     p = add(
         "asymptotics",

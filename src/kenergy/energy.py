@@ -1,20 +1,21 @@
-"""The three equivalent evaluators of the k-th energy on Bergman metrics,
-plus a descent minimizer over SL(N+1, C).
+"""The k-th energy on Bergman metrics, its netted coefficient vector and
+moment-map gradient, plus a descent minimizer over SL(N+1, C).
 
-All evaluators consume the same log-norm ratios LR(P) = log(|sigma.P|^2/|P|^2)
-of the stored Chow form and hyperdiscriminants and differ only in the exact
-integer combinatorics combining them:
+With LR(P) = log(|sigma.P|^2/|P|^2) the log-norm ratio of a stored polynomial,
 
-  formula     sum_{i=1}^{k} (-1)^{i+1} C(n-i, n-k)
-                  [ deg(R) LR(Delta^(n-i)) - deg(Delta^(n-i)) LR(R) ]
-  pair        LR(v_k) - LR(w_k) for the formal tensors v_k, w_k below
-  recursion   (-1)^{k+1} [ deg(R) LR(Delta^(n-k)) - deg(Delta^(n-k)) LR(R)
-                  + sum_{i<k} (-1)^i C(n-i, n-k) M_i ]
+  M_k(sigma) = sum_{i=1}^{k} (-1)^{i+1} C(n-i, n-k)
+                   [ deg(R) LR(Delta^(n-i)) - deg(Delta^(n-i)) LR(R) ]
 
-with deg(R) = deg Delta^(n) the Chow-form degree.  The value at the identity
-is exactly zero.  The analytic normalization -(n+1)(n-k+1)V is already folded
-into these integer coefficients; the quadrature module uses the same
-normalization so slopes match.
+with R = Delta^(n) the Chow form.  `combine` states this combination once,
+over any per-polynomial value: log-norm ratios give the energy, moment
+matrices its gradient, minimal weights the slope A_k, and unit integers the
+vector c of `energy_coefficients`, so M_k = sum_i c_i LR(Delta^(n-i)) with
+i = 0 the Chow form.  The pair (v_k, w_k) of `build_pair_vectors` is the
+paper's tensor form of the same energy: for each factor, its exponent in v_k
+minus its exponent in w_k is c_i.  The value at the identity is exactly
+zero.  The analytic normalization -(n+1)(n-k+1)V is already folded into the
+integer coefficients; the quadrature module uses the same normalization so
+slopes match.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .chern import comb
 from .errors import FormatRangeError, KEnergyError
 from .exactpoly import MatrixPoly, right_substitute
 from .invariants import degree_vector, format_range
-from .pairing import (
-    FormalTensor,
-    GroupElement,
-    log_norm_ratio,
-    tensor_log_norm_ratio,
-)
+from .pairing import FormalTensor, GroupElement, log_norm_ratio
 
 
 def _check_admissible(instance: VarietyInstance, k: int):
@@ -105,13 +101,16 @@ def build_pair_vectors(instance: VarietyInstance, k: int) -> PairVectors:
 
 @dataclass(frozen=True)
 class TermContribution:
+    """Term i of `combine`; value_hyper and value_chow are the values at
+    Delta^(n-i) and at the Chow form (log-norm ratios for an energy)."""
+
     i: int
     coefficient: int  # (-1)^{i+1} C(n-i, n-k)
     deg_chow: int
     deg_hyper: int
-    lr_hyper: float
-    lr_chow: float
-    contribution: float
+    value_hyper: object
+    value_chow: object
+    contribution: object
 
 
 @dataclass(frozen=True)
@@ -119,37 +118,34 @@ class EnergyBreakdown:
     k: int
     n: int
     terms: tuple
-    total: float
+    total: object
 
 
-def _ratio_provider(instance: VarietyInstance, sigma: GroupElement, k: int, ratios=None):
-    """Map i -> LR(Delta^(n-i)) for i = 0..k (i = 0 is the Chow form)."""
-    if ratios is not None:
-        return lambda i: ratios[i]
-    return lambda i: log_norm_ratio(sigma, instance.polynomial(i))
+def combine(instance, k, value) -> EnergyBreakdown:
+    """sum_{i=1}^{k} (-1)^{i+1} C(n-i, n-k) [deg(R) value(i) - deg(Delta^(n-i)) value(0)].
 
-
-def energy_via_formula(instance, sigma, k, ratios=None) -> EnergyBreakdown:
-    """Closed-form evaluation; returns the per-index breakdown."""
+    value(i) is a per-polynomial value of Delta^(n-i), i = 0 the Chow form R:
+    a float, a numpy array or an integer.  value(0) is taken first, then
+    value(1), ..., value(k), and the terms are added in that order.
+    """
     _check_admissible(instance, k)
     n = instance.n
     dv = degree_vector(instance.data, k)
-    lr = _ratio_provider(instance, sigma, k, ratios)
-    lr_chow = lr(0)
+    at_chow = value(0)
     terms = []
     total = None
     for i in range(1, k + 1):
         coeff = (-1) ** (i + 1) * comb(n - i, n - k)
-        lr_i = lr(i)
-        contribution = coeff * (dv[0] * lr_i - dv[i] * lr_chow)
+        at_i = value(i)
+        contribution = coeff * (dv[0] * at_i - dv[i] * at_chow)
         terms.append(
             TermContribution(
                 i=i,
                 coefficient=coeff,
                 deg_chow=dv[0],
                 deg_hyper=dv[i],
-                lr_hyper=lr_i,
-                lr_chow=lr_chow,
+                value_hyper=at_i,
+                value_chow=at_chow,
                 contribution=contribution,
             )
         )
@@ -157,33 +153,26 @@ def energy_via_formula(instance, sigma, k, ratios=None) -> EnergyBreakdown:
     return EnergyBreakdown(k=k, n=n, terms=tuple(terms), total=total)
 
 
-def energy_via_pair(instance, sigma, k) -> float:
-    """log-norm ratio of v_k minus that of w_k (tensor norms multiplicative)."""
+def energy_coefficients(instance, k) -> tuple:
+    """The integer vector c with M_k = sum_{i=0}^{k} c_i LR(Delta^(n-i))."""
+    unit = np.eye(k + 1, dtype=np.int64)
+    return tuple(int(c) for c in combine(instance, k, lambda i: unit[i]).total)
+
+
+def pair_exponents(instance, k) -> tuple:
+    """For each stored polynomial Delta^(n-i), i = 0..k, its exponent in v_k
+    minus its exponent in w_k (exact integers)."""
     pair = build_pair_vectors(instance, k)
-    return tensor_log_norm_ratio(sigma, pair.v) - tensor_log_norm_ratio(sigma, pair.w)
+    net = [0] * (k + 1)
+    for sign, tensor in ((1, pair.v), (-1, pair.w)):
+        for label, _, power in tensor.factors:
+            net[0 if label == "chow" else int(label.split("_")[1])] += sign * power
+    return tuple(net)
 
 
-def energy_via_recursion(instance, sigma, k, ratios=None):
-    """Recursive evaluation through the lower energies M_1, ..., M_{k-1}."""
-    _check_admissible(instance, k)
-    n = instance.n
-    dv = degree_vector(instance.data, k)
-    lr = _ratio_provider(instance, sigma, k, ratios)
-    lr_chow = lr(0)
-
-    memo = {}
-
-    def m(j):
-        if j in memo:
-            return memo[j]
-        inner = dv[0] * lr(j) - dv[j] * lr_chow
-        for i in range(1, j):
-            inner = inner + (-1) ** i * comb(n - i, n - j) * m(i)
-        value = inner if (j + 1) % 2 == 0 else -inner  # (-1)^{j+1} prefactor
-        memo[j] = value
-        return value
-
-    return m(k)
+def energy_via_formula(instance, sigma, k) -> EnergyBreakdown:
+    """M_k(sigma) with its per-index breakdown over the log-norm ratios."""
+    return combine(instance, k, lambda i: log_norm_ratio(sigma, instance.polynomial(i)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,22 +223,14 @@ def _gradient_matrix(instance, sigma, k):
     Write q = sigma . P.  Then d/ds log |(sigma e^{s xi}) . P|^2 is
     2 Re <D q, q>/|q|^2 with D = sum_jc eta_jc L_jc, eta = sigma xi sigma^-1,
     so each stored polynomial contributes one moment matrix (one
-    substitution).  Combined with the integer coefficients of
-    energy_via_formula they give the energy moment W, and
+    substitution).  `combine` turns them into the energy moment W, and
     2 Re sum_jc eta_jc W_jc = 2 Re tr(xi G) with G = sigma^-1 W^T sigma.
     """
-    _check_admissible(instance, k)
-    n = instance.n
-    dv = degree_vector(instance.data, k)
-
-    def moment(i):
-        return _moment_matrix(right_substitute(instance.polynomial(i).to_float(), sigma.entries))
-
-    m_chow = moment(0)
-    w = 0.0
-    for i in range(1, k + 1):
-        coeff = (-1) ** (i + 1) * comb(n - i, n - k)
-        w = w + coeff * (dv[0] * moment(i) - dv[i] * m_chow)
+    w = combine(
+        instance,
+        k,
+        lambda i: _moment_matrix(right_substitute(instance.polynomial(i), sigma.entries)),
+    ).total
     s = sigma.matrix
     return np.linalg.solve(s, w.T @ s)
 

@@ -378,12 +378,6 @@ class MatrixPoly:
             total = total + term
         return total
 
-    def to_float(self):
-        """Copy with complex coefficients (identity on floating polynomials)."""
-        if not self.is_exact:
-            return self
-        return MatrixPoly(self.shape, {e: complex(c) for e, c in self._terms.items()})
-
     def divide_by_monomial(self, exp, coeff):
         """Exact division by coeff * x^exp; raises if any term is not divisible."""
         exp = tuple(tuple(int(e) for e in row) for row in exp)
@@ -497,19 +491,6 @@ def right_substitute(poly: MatrixPoly, g) -> MatrixPoly:
     if poly.is_zero:
         return poly
 
-    if _is_diagonal(entries):
-        diag = [entries[j][j] for j in range(cols)]
-        out = {}
-        for exp, coeff in poly._terms.items():
-            factor = coeff
-            for c, e in enumerate(column_degree(exp)):
-                if e:
-                    for _ in range(e):
-                        factor = factor * diag[c]
-            if factor:
-                out[exp] = factor
-        return MatrixPoly(poly.shape, out)
-
     # Expansion of one row-monomial prod_c x_c^{e_c} under x_c -> sum_j x_j g[j][c]
     # is independent of the row index, so it is memoized per row-exponent vector.
     pow_cache = {}
@@ -554,9 +535,11 @@ def right_substitute(poly: MatrixPoly, g) -> MatrixPoly:
         row_cache[e_row] = items
         return items
 
+    # with a floating g every product is complex; convert each coefficient once
+    floating = all(isinstance(v, complex) for row in entries for v in row)
     out = {}
     for exp, coeff in poly._terms.items():
-        partial = [((), coeff)]
+        partial = [((), complex(coeff) if floating else coeff)]
         for e_row in exp:
             expanded = expand_row(e_row)
             nxt = []
@@ -605,11 +588,6 @@ def lie_derivative(poly: MatrixPoly, xi) -> MatrixPoly:
                     else:
                         out.pop(new_exp, None)
     return MatrixPoly(poly.shape, out)
-
-
-def _is_diagonal(entries):
-    n = len(entries)
-    return all(not entries[i][j] for i in range(n) for j in range(n) if i != j)
 
 
 def _compositions(total, parts):

@@ -153,28 +153,6 @@ def chern1_density(chart: CurveChart, sigma, z, step=None):
     return -lap / (4 * math.pi)
 
 
-def potential_path(chart: CurveChart, xi, t, z):
-    """(phi_t, phidot_t) for the exponential potential path through e^xi.
-
-    phi_t = log(|e^{xi t} T|^2 / |T|^2) and
-    phidot_t = <(xi + xi^*) u, u> / |u|^2 with u = e^{xi t} T, so phi_0 = 0 and
-    |phidot| is bounded by the operator norm of xi + xi^*.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    S = expm(xi * t)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    T = chart.sections(zs)
-    u = S @ T
-    nu = np.einsum("im,im->m", u, u.conj()).real
-    nT = np.einsum("im,im->m", T, T.conj()).real
-    phi = np.log(nu / nT)
-    herm = xi + xi.conj().T
-    phidot = np.einsum("im,im->m", herm @ u, u.conj()).real / nu
-    if np.asarray(z).ndim == 0:
-        return float(phi[0]), float(phidot[0])
-    return phi, phidot
-
-
 # ---------------------------------------------------------------------------
 # Surface quadrature
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The squared norm of a polynomial is sum |c_alpha|^2 / alpha! with alpha! the
 product of factorials of all matrix-entry exponents.  Log-norms are always
 evaluated in floating point with max-term factoring (a log-sum-exp), so
-one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Norms of formal
-tensors are multiplicative over factors and powers, which is what makes the
-pair evaluation of the energies agree exactly with the degree formula.
+one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Formal
+tensors (the pair v_k, w_k of kenergy.energy) are products of stored
+polynomials with integer powers that are never expanded; their log-norm
+ratios and weights are the per-polynomial ones combined with those powers,
+which kenergy.energy nets into one integer vector.
 
 The weight of a monomial under an integer one-parameter subgroup is the dot
 product of its column-degree vector with the weights; the asymptotic slope of
@@ -288,7 +290,7 @@ def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
 @dataclass(frozen=True, eq=False)
 class FormalTensor:
     """Formal product of named polynomials with positive integer exponents,
-    never expanded; norms and weights extend multiplicatively/additively."""
+    never expanded."""
 
     factors: tuple  # of (label, MatrixPoly, power)
 
@@ -302,15 +304,6 @@ class FormalTensor:
     def total_degree(self):
         return sum(power * poly.total_degree() for _, poly, power in self.factors)
 
-
-def tensor_log_norm_ratio(sigma: GroupElement, tensor: FormalTensor) -> float:
-    return sum(
-        power * log_norm_ratio(sigma, poly) for _, poly, power in tensor.factors
-    )
-
-
-def tensor_min_weight(lam: OneParamSubgroup, tensor: FormalTensor) -> int:
-    return sum(power * min_weight(lam, poly) for _, poly, power in tensor.factors)
 
 
 # ---------------------------------------------------------------------------

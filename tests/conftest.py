@@ -25,8 +25,12 @@ def quadric_surface():
 
 
 def random_rational_sl(size, rng):
-    """Product of elementary shears: exact rational entries, determinant 1."""
-    sigma = GroupElement.identity(size)
+    """Product of four elementary shears: exact rational entries, determinant 1.
+
+    Each shear I + c E_ij acts on the right as the column operation
+    col_j += c col_i, applied to the exact matrix before the one det check.
+    """
+    rows = [[Fraction(int(a == b)) for b in range(size)] for a in range(size)]
     denominators = (1, 2, 3)
     for _ in range(4):
         i = rng.randrange(size)
@@ -34,13 +38,9 @@ def random_rational_sl(size, rng):
         while j == i:
             j = rng.randrange(size)
         c = Fraction(rng.randint(-2, 2), rng.choice(denominators))
-        rows = [
-            [Fraction(1) if a == b else Fraction(0) for b in range(size)]
-            for a in range(size)
-        ]
-        rows[i][j] = c
-        sigma = sigma.compose(GroupElement.from_matrix(rows))
-    return sigma
+        for row in rows:
+            row[j] += c * row[i]
+    return GroupElement.from_matrix(rows)
 
 
 def random_float_sl(size, rng, scale=0.3):

@@ -55,9 +55,21 @@ def test_energy_cross_check_flag(tmp_path, capsys, conic_dir):
     assert code == 0
     payload = json.loads(out)
     result = payload["result"]
-    assert abs(result["Mk"] - result["pair"]) < 1e-9
-    assert abs(result["Mk"] - result["recursion"]) < 1e-9
+    assert result["coefficients"] == [-2, 4]
+    assert result["pairIdentity"] == "PASS"
     assert result["terms"][0]["degChow"] == 4
+
+
+def test_energy_cross_check_fails_when_the_pair_does_not_net(tmp_path, capsys, conic_dir,
+                                                             monkeypatch):
+    import kenergy.energy as energy_mod
+
+    monkeypatch.setattr(energy_mod, "pair_exponents", lambda instance, k: (-2, 5))
+    sigma = identity_sigma_file(tmp_path, 3)
+    code, out = run_cli(capsys, "energy", "--instance", conic_dir, "--k", "1",
+                        "--sigma", sigma, "--cross-check")
+    assert code == 1
+    assert json.loads(out)["result"]["pairIdentity"] == "FAIL"
 
 
 def test_degrees_command(capsys):

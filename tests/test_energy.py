@@ -9,53 +9,16 @@ from kenergy.energy import (
     _moment_matrix,
     build_pair_vectors,
     directional_derivative,
+    energy_coefficients,
     energy_via_formula,
-    energy_via_pair,
-    energy_via_recursion,
     minimize_energy,
     sl_basis,
 )
 from kenergy.catalog import DiscriminantSet, VarietyInstance
 from kenergy.errors import FormatRangeError
 from kenergy.exactpoly import MatrixPoly, lie_derivative
-from kenergy.pairing import GroupElement, fs_inner, fs_norm_sq
+from kenergy.pairing import GroupElement, fs_inner, fs_norm_sq, log_norm_ratio
 from conftest import random_float_sl, random_rational_sl, seeded
-
-
-class LinComb:
-    """Formal rational linear combination of labeled symbols, for feeding the
-    evaluators symbolic log-ratios."""
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: Fraction(v) for k, v in (coeffs or {}).items() if v}
-
-    @classmethod
-    def symbol(cls, name):
-        return cls({name: 1})
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)) and other == 0:
-            return self
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return LinComb(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinComb({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, scalar):
-        return LinComb({k: v * scalar for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs
 
 
 def test_pair_vectors_conic(conic):
@@ -98,8 +61,6 @@ def test_energy_zero_at_identity(conic, quadric_surface):
         ident = GroupElement.identity(instance.N + 1)
         for k in ks:
             assert energy_via_formula(instance, ident, k).total == 0.0
-            assert energy_via_pair(instance, ident, k) == 0.0
-            assert energy_via_recursion(instance, ident, k) == 0.0
 
 
 def test_energy_invariant_torus_on_conic(conic):
@@ -112,39 +73,49 @@ def test_inadmissible_k_rejected(conic):
         energy_via_formula(conic, GroupElement.identity(3), 2)
 
 
+def test_energy_coefficients(conic, twisted_cubic, quadric_surface):
+    # M_1 = 4 LR(D) - 2 LR(R) on the conic and M_2 = 6 LR(D1) - 6 LR(D0) - 2 LR(R)
+    # on the quadric; every c is degree-balanced, sum_i c_i deg Delta_i = 0,
+    # which is why M_k does not see the scale of sigma.P
+    from kenergy.invariants import degree_vector
+
+    for instance in (conic, twisted_cubic, quadric_surface):
+        for k in range(1, instance.n + 1):
+            c = energy_coefficients(instance, k)
+            assert all(isinstance(v, int) for v in c)
+            assert sum(ci * di for ci, di in zip(c, degree_vector(instance.data, k))) == 0
+
+
 def test_symbolic_structure_quadric_k2(quadric_surface):
-    ratios = {0: LinComb.symbol("R"), 1: LinComb.symbol("D1"), 2: LinComb.symbol("D0")}
-    total = energy_via_formula(quadric_surface, None, 2, ratios=ratios).total
-    assert total == LinComb({"D1": 6, "D0": -6, "R": -2})
-    recursed = energy_via_recursion(quadric_surface, None, 2, ratios=ratios)
-    assert recursed == total
+    # M_2 = 6 LR(D1) - 6 LR(D0) - 2 LR(R), with R the Chow form
+    assert energy_coefficients(quadric_surface, 2) == (-2, 6, -6)
+    sigma = random_float_sl(4, np.random.default_rng(21))
+    ratios = [log_norm_ratio(sigma, quadric_surface.polynomial(i)) for i in range(3)]
+    total = energy_via_formula(quadric_surface, sigma, 2).total
+    assert abs(total - (6 * ratios[1] - 6 * ratios[2] - 2 * ratios[0])) < 1e-9
 
 
 def test_symbolic_recursion_k1_reduces_to_two_terms(conic):
-    ratios = {0: LinComb.symbol("R"), 1: LinComb.symbol("D")}
-    value = energy_via_recursion(conic, None, 1, ratios=ratios)
-    assert value == LinComb({"D": 4, "R": -2})
-    assert energy_via_formula(conic, None, 1, ratios=ratios).total == value
+    # M_1 = 4 LR(D) - 2 LR(R): one term of the sum, two log-norm ratios
+    assert energy_coefficients(conic, 1) == (-2, 4)
+    sigma = random_float_sl(3, np.random.default_rng(22))
+    breakdown = energy_via_formula(conic, sigma, 1)
+    assert len(breakdown.terms) == 1
+    ratios = [log_norm_ratio(sigma, conic.polynomial(i)) for i in range(2)]
+    assert abs(breakdown.total - (4 * ratios[1] - 2 * ratios[0])) < 1e-9
 
 
-def test_triple_agreement_seeded(conic, twisted_cubic, quadric_surface):
-    rng = np.random.default_rng(12)
-    cases = [(conic, 1), (twisted_cubic, 1), (quadric_surface, 1), (quadric_surface, 2)]
-    for instance, k in cases:
-        for _ in range(10):
-            sigma = random_float_sl(instance.N + 1, rng)
-            f = energy_via_formula(instance, sigma, k).total
-            assert abs(f - energy_via_pair(instance, sigma, k)) < 1e-9
-            assert abs(f - energy_via_recursion(instance, sigma, k)) < 1e-9
-
-
-def test_triple_agreement_rational_sigma(conic):
+def test_exact_and_floating_sigma_agree(conic, quadric_surface):
+    # an exact rational sigma is substituted in Gaussian-rational arithmetic,
+    # its floating copy in complex arithmetic: two lanes of right_substitute
     rng = seeded(77)
-    for _ in range(5):
-        sigma = random_rational_sl(3, rng)
-        f = energy_via_formula(conic, sigma, 1).total
-        assert abs(f - energy_via_pair(conic, sigma, 1)) < 1e-9
-        assert abs(f - energy_via_recursion(conic, sigma, 1)) < 1e-9
+    for instance, ks in ((conic, (1,)), (quadric_surface, (1, 2))):
+        for _ in range(2):
+            sigma = random_rational_sl(instance.N + 1, rng)
+            floating = GroupElement.from_matrix(sigma.matrix)
+            for k in ks:
+                exact = energy_via_formula(instance, sigma, k).total
+                assert abs(exact - energy_via_formula(instance, floating, k).total) < 1e-9
 
 
 def test_discriminant_rescaling_leaves_energy(conic):

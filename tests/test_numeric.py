@@ -19,7 +19,6 @@ from kenergy.numeric import (
     metric_density_log,
     mu_quadrature,
     numeric_slope,
-    potential_path,
     volume_and_chern,
 )
 
@@ -81,33 +80,6 @@ def test_chart_overlap_consistency(conic_charts):
         a = metric_density_log(affine, S, np.array([u]), np.array([th]))[0]
         b = metric_density_log(infinity, S, np.array([-u]), np.array([-th]))[0]
         assert abs(a - b) < 1e-10
-
-
-def test_potential_path_zero_direction(conic_charts):
-    phi, phidot = potential_path(conic_charts[0], np.zeros((3, 3)), 0.7, 0.3 + 0.2j)
-    assert phi == 0.0 and phidot == 0.0
-
-
-def test_potential_path_diagonal_at_origin(conic_charts):
-    s = 0.8
-    xi = s * np.diag([1.0, 0.0, -1.0])
-    for t in (0.0, 0.3, 1.0):
-        phi, phidot = potential_path(conic_charts[0], xi, t, 0.0)
-        assert abs(phi - 2 * s * t) < 1e-12
-        assert abs(phidot - 2 * s) < 1e-12
-
-
-def test_potential_derivative_bound(conic_charts):
-    rng = np.random.default_rng(9)
-    xi = 0.6 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    xi -= np.trace(xi) / 3 * np.eye(3)
-    bound = max(abs(v) for v in np.linalg.eigvalsh(xi + xi.conj().T))
-    for chart in conic_charts:
-        z = rng.uniform(0, 1.2, 500) * np.exp(1j * rng.uniform(0, 2 * np.pi, 500))
-        t = rng.uniform(0, 1, 500)
-        for zz, tt in zip(z, t):
-            _, phidot = potential_path(chart, xi, tt, zz)
-            assert abs(phidot) <= bound + 1e-12
 
 
 def test_chern1_density_round_conic_positive(conic_charts):

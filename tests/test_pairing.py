@@ -17,8 +17,6 @@ from kenergy.pairing import (
     log_tan_sq,
     min_weight,
     pair_distance,
-    tensor_log_norm_ratio,
-    tensor_min_weight,
 )
 
 from conftest import random_exact_poly, random_float_sl, random_rational_sl, seeded
@@ -144,9 +142,12 @@ def test_tensor_ops_on_quadric_pair(quadric_surface):
     v2 = FormalTensor((("chow", chow, 2), ("hyper_1", hyperdet, 6)))
     w2 = FormalTensor((("chow", chow, 4), ("hyper_2", dual, 6)))
     lam = OneParamSubgroup((3, -1, -1, -1))
-    assert tensor_min_weight(lam, v2) == -28
-    assert tensor_min_weight(lam, w2) == -20
-    assert tensor_log_norm_ratio(GroupElement.identity(4), v2) == 0.0
+    # w(v2) = 2 w(chow) + 6 w(hyperdet) = -28 and w(w2) = 4 w(chow) + 6 w(dual) = -20;
+    # netted, A_2 = -8 = sum_i c_i w(Delta_i) with c = (-2, 6, -6)
+    weights = [min_weight(lam, p) for p in (chow, hyperdet, dual)]
+    assert 2 * weights[0] + 6 * weights[1] == -28
+    assert 4 * weights[0] + 6 * weights[2] == -20
+    assert -2 * weights[0] + 6 * weights[1] - 6 * weights[2] == -28 - (-20)
     assert v2.total_degree() == w2.total_degree() == 36
 
 
