@@ -22,7 +22,6 @@ from .errors import KEnergyError
 from .exactpoly import GaussianRational, MatrixPoly, right_substitute
 from .invariants import (
     VarietyData,
-    binomial_inverse,
     format_range,
     hyperdiscriminant_degree,
     mu_from_degrees,
@@ -31,7 +30,6 @@ from .asymptotics import SlopeReport, slope_fit, slope_integer, stability_scan
 from .numeric import (
     CurveChart,
     QuadratureSpec,
-    bergman_metric,
     energy_quadrature,
     gauss_bonnet,
     mu_quadrature,
@@ -40,7 +38,6 @@ from .pairing import (
     FormalTensor,
     GroupElement,
     OneParamSubgroup,
-    fs_distance,
     fs_norm_sq,
     log_norm_ratio,
     min_weight,

@@ -33,6 +33,12 @@ def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
     return _slope(instance, energy_coefficients(instance, k), lam)
 
 
+def check_magnitudes(samples):
+    """Reject sample magnitudes |t| outside (0, 1); slopes are read as |t| -> 0."""
+    if any(not 0.0 < t < 1.0 for t in samples):
+        raise KEnergyError("sample magnitudes must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class SlopeReport:
     lam: OneParamSubgroup
@@ -54,8 +60,7 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     samples = tuple(float(t) for t in samples)
     if len(samples) < 4:
         raise KEnergyError("slope fit needs at least 4 sample magnitudes")
-    if any(not 0.0 < t < 1.0 for t in samples):
-        raise KEnergyError("sample magnitudes must lie in (0, 1)")
+    check_magnitudes(samples)
     a_k = slope_integer(instance, k, lam)
     xs = np.array([2.0 * math.log(t) for t in samples])
     ys = np.array(

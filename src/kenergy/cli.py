@@ -84,6 +84,8 @@ def _parse_samples(text):
         a, b, count = float(a), float(b), int(count)
         if count < 2:
             raise KEnergyError("sample grid needs at least 2 points")
+        if a <= 0 or b <= 0:
+            raise KEnergyError("sample grid ends must be positive")
         ratio = (b / a) ** (1.0 / (count - 1))
         return tuple(a * ratio**i for i in range(count))
     return tuple(float(v) for v in text.split(","))

@@ -182,7 +182,7 @@ def energy_via_formula(instance, sigma, k) -> EnergyBreakdown:
 
 def _moment_matrix(q: MatrixPoly):
     """M[j, c] = <L_jc q, q> / |q|^2 with L_jc = sum_r x[r][j] d/dx[r][c],
-    in the factorial-weighted inner product of pairing.fs_inner.
+    in the factorial-weighted inner product sum_alpha p_alpha conj(q_alpha) / alpha!.
 
     L_jc sends the term of exponent beta to beta - e_rc + e_rj with the
     factor beta[r][c], so column c of M is one pass over the terms with

@@ -17,18 +17,16 @@ substitutions therefore multiplies on the left, rs(rs(p, g), h) == rs(p, h @ g),
 which is exactly what makes g . (h . p) == (g @ h) . p a left action.
 
 Canonical term order is graded lexicographic on the flattened exponent matrix;
-iteration, printing, JSON output and floating evaluation all follow it.  All
-values are immutable after construction, so everything here is safe to share
-across threads.
+iteration, printing and JSON output follow it.  All values are immutable
+after construction, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from collections import Counter
 
-from .errors import ShapeMismatchError, ZeroPolynomialError
+from .errors import ShapeMismatchError
 
 Exponent = tuple  # tuple[tuple[int, ...], ...], row-major
 
@@ -333,50 +331,6 @@ class MatrixPoly:
         if not scalar:
             return MatrixPoly.zero(self.shape)
         return MatrixPoly(self.shape, {e: c * scalar for e, c in self._terms.items()})
-
-    # -- structural queries --
-
-    def column_degrees(self):
-        """Counter of column-degree vectors over terms (multiplicity = #terms)."""
-        if self.is_zero:
-            raise ZeroPolynomialError("column_degrees of the zero polynomial")
-        counts = Counter()
-        for exp in self._terms:
-            counts[column_degree(exp)] += 1
-        return counts
-
-    def evaluate(self, matrix):
-        """Evaluate at an m x c matrix of numbers.
-
-        Exact when both the polynomial and the matrix are exact; otherwise the
-        terms are summed in canonical order for reproducible floating results.
-        """
-        rows = [list(row) for row in matrix]
-        if len(rows) != self.shape[0] or any(len(r) != self.shape[1] for r in rows):
-            raise ShapeMismatchError(
-                f"evaluation point has wrong shape, expected {self.shape}"
-            )
-        entries = [[as_coefficient(v) for v in row] for row in rows]
-        exact = self.is_exact and all(
-            isinstance(v, GaussianRational) for row in entries for v in row
-        )
-        if not exact:
-            entries = [
-                [complex(v) if isinstance(v, GaussianRational) else v for v in row]
-                for row in entries
-            ]
-        total = GaussianRational(0) if exact else complex(0)
-        for exp, coeff in self.terms():
-            if exact:
-                term = coeff
-            else:
-                term = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
-            for r, row in enumerate(exp):
-                for c, e in enumerate(row):
-                    if e:
-                        term = term * entries[r][c] ** e
-            total = total + term
-        return total
 
     def divide_by_monomial(self, exp, coeff):
         """Exact division by coeff * x^exp; raises if any term is not divisible."""

@@ -6,8 +6,9 @@ M_{(n-i+1) x (N+1)}: the Chow form of a degree-d n-fold has total degree
 
     deg = d * sum_{i=0}^{k} (-1)^i (n-i+1) C(n-i, n-k) mu_i,
 
-a positive integer whenever the mu input is consistent.  The lower-triangular
-binomial system relating the two directions is inverted exactly.
+a positive integer whenever the mu input is consistent.  `mu_from_degrees`
+inverts the formula: it recovers mu_k exactly from the degrees of the formats
+n, n-1, ..., n-k.
 """
 
 from __future__ import annotations
@@ -81,31 +82,6 @@ def mu_from_degrees(degs, d, n, k) -> Fraction:
     for i in range(k + 1):
         total += (-1) ** i * comb(n - i, n - k) * Fraction(int(degs[i]), int(d))
     return total / (n - k + 1)
-
-
-def binomial_inverse(y, n):
-    """Solve Y_j = sum_{i<=j} C(n-i, n-j) X_i for X, exactly.
-
-    The inverse of this unit lower-triangular system is
-    X_j = sum_{i<=j} (-1)^{i+j} C(n-i, n-j) Y_i.
-    """
-    y = [Fraction(v) for v in y]
-    if len(y) - 1 > n:
-        raise KEnergyError("vector longer than n + 1")
-    out = []
-    for j in range(len(y)):
-        out.append(
-            sum(((-1) ** (i + j)) * comb(n - i, n - j) * y[i] for i in range(j + 1))
-        )
-    return out
-
-
-def binomial_forward(x, n):
-    """Y_j = sum_{i<=j} C(n-i, n-j) X_i (the forward triangular system)."""
-    x = [Fraction(v) for v in x]
-    return [
-        sum(comb(n - i, n - j) * x[i] for i in range(j + 1)) for j in range(len(x))
-    ]
 
 
 @dataclass(frozen=True)

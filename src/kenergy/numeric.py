@@ -35,6 +35,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
+from .asymptotics import check_magnitudes
 from .catalog import VarietyInstance
 from .errors import KEnergyError
 
@@ -54,15 +55,6 @@ class CurveChart:
         z = np.asarray(z, dtype=complex)
         k = np.asarray(self.powers, dtype=float)[:, None]
         return z[None, :] ** k
-
-    def sections_prime(self, z):
-        z = np.asarray(z, dtype=complex)
-        k = np.asarray(self.powers, dtype=float)[:, None]
-        out = np.zeros((len(self.powers), z.size), dtype=complex)
-        for i, e in enumerate(self.powers):
-            if e:
-                out[i] = e * z ** (e - 1)
-        return out
 
 
 def curve_charts(instance: VarietyInstance):
@@ -102,55 +94,10 @@ def _sigma_matrix(sigma):
     return np.asarray(sigma, dtype=complex)
 
 
-def _gram_ratio(U, V):
-    """(|U|^2 |V|^2 - |<V,U>|^2) / |U|^4 via the Lagrange identity."""
-    nU = np.einsum("im,im->m", U, U.conj()).real
-    W = np.zeros(U.shape[1], dtype=float)
-    for i in range(U.shape[0]):
-        for j in range(i + 1, U.shape[0]):
-            W += np.abs(U[i] * V[j] - U[j] * V[i]) ** 2
-    return W / nU**2
-
-
-def bergman_metric(chart: CurveChart, sigma, z):
-    """Metric coefficient h(z) = dd-bar log |sigma T(z)|^2, positive at
-    immersion points."""
-    S = _sigma_matrix(sigma)
-    zs = np.atleast_1d(np.asarray(z, dtype=complex))
-    U = S @ chart.sections(zs)
-    V = S @ chart.sections_prime(zs)
-    h = _gram_ratio(U, V)
-    return float(h[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else h
-
-
 def metric_density_log(chart: CurveChart, S, u, theta):
     """log( h(z) |z|^2 ) at z = exp(u + i theta), the du dtheta density of
     omega up to 1/pi."""
     return np.log(_plucker_fields(S, chart.powers, chart.sections(np.exp(u + 1j * theta)))[2])
-
-
-def chern1_density(chart: CurveChart, sigma, z, step=None):
-    """Curvature density -(1/(4 pi)) Laplacian_z log h against dx dy,
-    by fourth-order central differences with a scale-aware step."""
-    S = _sigma_matrix(sigma)
-    z = complex(z)
-    if step is None:
-        step = 6e-4 * (1.0 + abs(z))
-
-    def logh(point):
-        return math.log(bergman_metric(chart, S, complex(point)))
-
-    lap = 0.0
-    for direction in (1.0, 1j):
-        d = direction * step
-        lap += (
-            -logh(z + 2 * d)
-            + 16 * logh(z + d)
-            - 30 * logh(z)
-            + 16 * logh(z - d)
-            - logh(z - 2 * d)
-        ) / (12 * step * step)
-    return -lap / (4 * math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +155,7 @@ def _plucker_fields(S, powers, T, gradient=False):
     return U, nU, h, ddbar, d_log
 
 
-def _auto_u_min(spec: QuadratureSpec, xi=None):
-    if xi is None:
-        return spec.u_min
+def _auto_u_min(spec: QuadratureSpec, xi):
     eig = np.linalg.eigvals(np.asarray(xi, dtype=complex))
     spread = float(np.max(eig.real) - np.min(eig.real))
     return min(spec.u_min, -(spread + 25.0))
@@ -220,15 +165,14 @@ def _auto_radial(spec: QuadratureSpec, u_min):
     return max(spec.radial, int(8 * abs(u_min)))
 
 
-def volume_and_chern(instance, sigma=None, spec=QuadratureSpec(), xi=None):
+def volume_and_chern(instance, sigma=None, spec=QuadratureSpec()):
     """(integral omega, integral c_1) over the curve for the metric of sigma."""
     S = np.eye(instance.N + 1, dtype=complex) if sigma is None else _sigma_matrix(sigma)
-    u_min = _auto_u_min(spec, xi)
-    radial = _auto_radial(spec, u_min)
+    radial = _auto_radial(spec, spec.u_min)
     vol = 0.0
     chern = 0.0
     for chart in curve_charts(instance):
-        for T, w in _chart_blocks(chart, u_min, radial, spec.angular):
+        for T, w in _chart_blocks(chart, spec.u_min, radial, spec.angular):
             _, _, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
             vol += float(np.sum(w * h)) / math.pi
             chern -= float(np.sum(w * ddbar)) / math.pi
@@ -257,13 +201,18 @@ def gauss_bonnet(instance, sigma, spec=QuadratureSpec()) -> float:
 def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
     """The defining energy integral for k = 1 on a curve, fully normalized.
 
-    path selects the potential path from 0 to phi_sigma (sigma = e^xi):
-    "exponential" uses phi_t = log(|e^{xi t}T|^2/|T|^2), "quadratic" its
-    t -> t^2 reparametrization, "affine" the linear interpolation of the
-    endpoint potential (metric densities blend pointwise).  The value is
-    path independent up to quadrature error.
+    xi is a traceless (N+1) x (N+1) matrix.  path selects the potential path
+    from 0 to phi_sigma (sigma = e^xi): "exponential" uses
+    phi_t = log(|e^{xi t}T|^2/|T|^2), "affine" the linear interpolation of the
+    endpoint potential (metric densities blend pointwise).  The value is path
+    independent up to quadrature error.
     """
+    if path not in ("exponential", "affine"):
+        raise KEnergyError(f"unknown potential path '{path}'")
     xi = np.asarray(xi, dtype=complex)
+    size = instance.N + 1
+    if xi.shape != (size, size):
+        raise KEnergyError(f"path generator must be {size}x{size}, got shape {xi.shape}")
     if abs(np.trace(xi)) > 1e-9:
         raise KEnergyError("path generator must be traceless")
     u_min = _auto_u_min(spec, xi)
@@ -282,7 +231,7 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
             # h_tau = (1 - tau) htilde_0 + tau htilde_1 with D = dd-bar and
             # d = d_w: D log h_tau = D h_tau / h_tau - |d h_tau|^2 / h_tau^2,
             # where D htilde = htilde (D log htilde + |d log htilde|^2).
-            ends = (np.eye(instance.N + 1), expm(xi))
+            ends = (np.eye(size), expm(xi))
             for T, w in blocks:
                 (_, nT, h0, L0, g0), (_, n1, h1, L1, g1) = (
                     _plucker_fields(S, chart.powers, T, gradient=True) for S in ends)
@@ -296,12 +245,10 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
                     total -= wtau * float(np.sum(w * phidot * (ddbar + mu1 * h))) / math.pi
             continue
         for tau, wtau in zip(taus, wtaus):
-            path_t = tau * tau if path == "quadratic" else tau
-            scale = 2.0 * tau if path == "quadratic" else 1.0
-            S = expm(xi * path_t)
+            S = expm(xi * tau)
             for T, w in blocks:
                 U, nU, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
-                phidot = scale * np.einsum("im,im->m", herm @ U, U.conj()).real / nU
+                phidot = np.einsum("im,im->m", herm @ U, U.conj()).real / nU
                 total -= wtau * float(np.sum(w * phidot * (ddbar + mu1 * h))) / math.pi
     n, k = 1, 1
     return -(n + 1) * (n - k + 1) * vol * total
@@ -319,6 +266,7 @@ class NumericSlopeReport:
 def numeric_slope(instance, weights, samples, spec=QuadratureSpec(), algebraic=None):
     """Fit the quadrature energy along diag(t^a) against log|t|^2."""
     samples = tuple(float(t) for t in samples)
+    check_magnitudes(samples)
     energies = []
     for t in samples:
         xi = np.diag(np.array(weights, dtype=float)) * math.log(t)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import KEnergyError, ZeroPolynomialError
+from .errors import KEnergyError, ShapeMismatchError, ZeroPolynomialError
 from .exactpoly import (
     GaussianRational,
     MatrixPoly,
@@ -130,23 +130,6 @@ class GroupElement:
     def matrix(self):
         return np.array([[complex(v) for v in row] for row in self.entries])
 
-    def compose(self, other):
-        """Matrix product self @ other (exact when both are exact)."""
-        if self.size != other.size:
-            raise KEnergyError("size mismatch")
-        rows = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                acc = as_coefficient(0) if self.exact and other.exact else 0j
-                for m in range(self.size):
-                    acc = acc + self.entries[i][m] * other.entries[m][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return GroupElement(
-            entries=tuple(rows), exact=self.exact and other.exact
-        )
-
 
 @dataclass(frozen=True)
 class OneParamSubgroup:
@@ -166,9 +149,6 @@ class OneParamSubgroup:
             return GroupElement.diagonal([t ** w for w in self.weights])
         return GroupElement.diagonal([complex(t) ** w for w in self.weights])
 
-    def __neg__(self):
-        return OneParamSubgroup(tuple(-w for w in self.weights))
-
 
 # ---------------------------------------------------------------------------
 # Norms
@@ -177,23 +157,6 @@ class OneParamSubgroup:
 
 def _log_factorial_weight(exp):
     return sum(math.lgamma(e + 1) for row in exp for e in row if e)
-
-
-def fs_norm_sq_exact(p: MatrixPoly) -> Fraction:
-    """Exact squared norm sum |c|^2 / alpha! (exact polynomials only)."""
-    if p.is_zero:
-        raise ZeroPolynomialError("norm of the zero polynomial")
-    total = Fraction(0)
-    for exp, coeff in p.term_dict().items():
-        if not isinstance(coeff, GaussianRational):
-            raise KEnergyError("exact norm requires exact coefficients")
-        w = 1
-        for row in exp:
-            for e in row:
-                if e > 1:
-                    w *= math.factorial(e)
-        total += coeff.abs_sq() / w
-    return total
 
 
 def log_fs_norm_sq(p: MatrixPoly, column_log_scale=None) -> float:
@@ -242,26 +205,11 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
     """log ( |sigma . p|^2 / |p|^2 ); exactly 0.0 at the identity."""
     if p.is_zero:
         raise ZeroPolynomialError("log-norm ratio of the zero polynomial")
+    if sigma.size != p.shape[1]:
+        raise ShapeMismatchError(
+            f"group element of size {sigma.size} acts on {p.shape[1]} columns"
+        )
     return _cached_log_ratio(sigma, p)
-
-
-def fs_inner(p: MatrixPoly, q: MatrixPoly) -> complex:
-    """Factorial-weighted Hermitian inner product of coefficient vectors."""
-    if p.shape != q.shape:
-        raise KEnergyError("inner product needs matching variable shapes")
-    qterms = q.term_dict()
-    total = 0j
-    for exp, cp in p.term_dict().items():
-        cq = qterms.get(exp)
-        if cq is None:
-            continue
-        w = 1.0
-        for row in exp:
-            for e in row:
-                if e > 1:
-                    w *= math.factorial(e)
-        total += complex(cp) * complex(cq).conjugate() / w
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +222,10 @@ def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
     if p.is_zero:
         raise ZeroPolynomialError("weight of the zero polynomial")
     weights = lam.weights
+    if len(weights) != p.shape[1]:
+        raise ShapeMismatchError(
+            f"one-parameter subgroup has {len(weights)} weights for {p.shape[1]} columns"
+        )
     best = None
     for exp in p.term_dict():
         w = sum(d * a for d, a in zip(column_degree(exp), weights))
@@ -303,32 +255,3 @@ class FormalTensor:
 
     def total_degree(self):
         return sum(power * poly.total_degree() for _, poly, power in self.factors)
-
-
-
-# ---------------------------------------------------------------------------
-# Fubini-Study distances on projectivized coefficient vectors
-# ---------------------------------------------------------------------------
-
-
-def fs_distance(p: MatrixPoly, q: MatrixPoly) -> float:
-    """arccos( |<p, q>| / (|p| |q|) ) in [0, pi/2]."""
-    if p.is_zero or q.is_zero:
-        raise ZeroPolynomialError("distance needs nonzero vectors")
-    ip = abs(fs_inner(p, q))
-    denom = math.sqrt(fs_norm_sq(p) * fs_norm_sq(q))
-    return math.acos(max(-1.0, min(1.0, ip / denom)))
-
-
-def pair_distance(v: MatrixPoly, w: MatrixPoly) -> float:
-    """Distance between [(v, w)] and [(v, 0)] in the projective space of the
-    direct sum, with the factorial-weighted norm on each summand."""
-    if v.is_zero or w.is_zero:
-        raise ZeroPolynomialError("distance needs nonzero vectors")
-    nv = fs_norm_sq(v)
-    nw = fs_norm_sq(w)
-    return math.acos(max(-1.0, min(1.0, math.sqrt(nv / (nv + nw)))))
-
-
-def log_tan_sq(angle: float) -> float:
-    return 2.0 * math.log(math.tan(angle))

@@ -165,6 +165,30 @@ def test_domain_error_exit_code(capsys, conic_dir, tmp_path):
     assert "error" in json.loads(out)
 
 
+# vectors of the wrong length (which zip would truncate) and sample grids that
+# leave (0, 1); each must exit 1 with an error object, not a result or a traceback
+REJECTED = {
+    "lambda-too-short": ("asymptotics", "--instance", "{conic}", "--k", "1", "--lambda", "1,-1"),
+    "lambda-too-long-fit": ("asymptotics", "--instance", "{conic}", "--k", "1",
+                            "--lambda", "2,-1,-1,0", "--fit", "1e-1:1e-5:5"),
+    "weight-lambda-too-short": ("weight", "--lambda", "1,-1", "{conic}/hyper_1.json"),
+    "path-xi-too-short": ("numeric", "--instance", "{conic}", "--check", "path", "--xi", "1,-1"),
+    "fit-grid-from-zero": ("asymptotics", "--instance", "{conic}", "--k", "1",
+                           "--lambda", "2,-1,-1", "--fit", "0:1e-5:5"),
+    "samples-grid-negative": ("numeric", "--instance", "{conic}", "--check", "slope",
+                              "--samples=-1e-1:1e-4:4"),
+    "samples-above-one": ("numeric", "--instance", "{conic}", "--check", "slope",
+                          "--samples", "1e-1,2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_malformed_input_is_a_domain_error(capsys, conic_dir, case):
+    code, out = run_cli(capsys, *(arg.format(conic=conic_dir) for arg in REJECTED[case]))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["definitely-not-a-command"])

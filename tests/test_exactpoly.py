@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from kenergy.errors import ShapeMismatchError, ZeroPolynomialError
+from kenergy.errors import ShapeMismatchError
 from kenergy.exactpoly import (
     GaussianRational,
     MatrixPoly,
+    column_degree,
     laplace_det,
     lie_derivative,
     right_substitute,
 )
 
 from conftest import random_exact_poly, seeded
+from oracles import evaluate
 
 SHAPE = (1, 3)
 
@@ -103,7 +105,7 @@ def test_shape_mismatch_raises(conic_disc):
     with pytest.raises(ShapeMismatchError):
         conic_disc + other
     with pytest.raises(ShapeMismatchError):
-        conic_disc.evaluate([[1, 0]])
+        evaluate(conic_disc, [[1, 0]])
 
 
 def test_substitute_identity(conic_disc):
@@ -167,7 +169,7 @@ def test_evaluate_compatible_with_substitution():
             [sum(Fraction(a[r][m]) * g[m][c] for m in range(3)) for c in range(3)]
             for r in range(2)
         ]
-        assert right_substitute(p, g).evaluate(a) == p.evaluate(ag)
+        assert evaluate(right_substitute(p, g), a) == evaluate(p, ag)
 
 
 def test_ring_axioms_seeded():
@@ -182,30 +184,31 @@ def test_ring_axioms_seeded():
         assert p * q == q * p
 
 
+def column_degrees(p):
+    return {column_degree(exp) for exp in p.term_dict()}
+
+
 def test_column_degrees(conic_disc):
-    assert set(conic_disc.column_degrees()) == {(0, 2, 0), (1, 0, 1)}
-    mono = var(0) ** 3
-    assert dict(mono.column_degrees()) == {(3, 0, 0): 1}
-    with pytest.raises(ZeroPolynomialError):
-        MatrixPoly.zero(SHAPE).column_degrees()
+    assert column_degrees(conic_disc) == {(0, 2, 0), (1, 0, 1)}
+    assert column_degrees(var(0) ** 3) == {(3, 0, 0)}
 
 
 def test_column_degrees_of_conic_chow(conic):
     chow = conic.discriminants.chow
-    assert set(chow.column_degrees()) == {(1, 2, 1), (2, 0, 2)}
+    assert column_degrees(chow) == {(1, 2, 1), (2, 0, 2)}
 
 
 def test_evaluate_examples(conic_disc):
-    assert conic_disc.evaluate([[1, 0, 1]]) == GaussianRational(-4)
-    assert conic_disc.evaluate([[0, 1, 0]]) == GaussianRational(1)
-    assert MatrixPoly.zero(SHAPE).evaluate([[5, 6, 7]]) == GaussianRational(0)
+    assert evaluate(conic_disc, [[1, 0, 1]]) == GaussianRational(-4)
+    assert evaluate(conic_disc, [[0, 1, 0]]) == GaussianRational(1)
+    assert evaluate(MatrixPoly.zero(SHAPE), [[5, 6, 7]]) == GaussianRational(0)
 
 
 def test_float_substitution_path(conic_disc):
     image = right_substitute(conic_disc, [[0.5, 0, 0], [0, 1.0, 0], [0, 0, 2.0]])
     assert not image.is_exact
-    value = image.evaluate([[1.0, 0.0, 1.0]])
-    assert abs(value - conic_disc.evaluate([[0.5, 0.0, 2.0]])) < 1e-12
+    value = evaluate(image, [[1.0, 0.0, 1.0]])
+    assert abs(value - evaluate(conic_disc, [[0.5, 0.0, 2.0]])) < 1e-12
 
 
 def test_lie_derivative_single_variable():

@@ -6,15 +6,11 @@ from kenergy.chern import ChernProfile, hypersurface_mu, rational_curve_profile
 from kenergy.errors import FormatRangeError, KEnergyError
 from kenergy.invariants import (
     VarietyData,
-    binomial_forward,
-    binomial_inverse,
     degree_vector,
     format_range,
     hyperdiscriminant_degree,
     mu_from_degrees,
 )
-
-from conftest import seeded
 
 
 def conic_data():
@@ -73,27 +69,6 @@ def test_degree_mu_round_trip_for_catalog_data():
         degs = degree_vector(data, data.n)
         for k in range(data.n + 1):
             assert mu_from_degrees(degs[: k + 1], data.d, data.n, k) == data.mu_values[k]
-
-
-def test_binomial_inverse_unit_diagonal():
-    assert binomial_inverse([Fraction(5, 7)], 4)[0] == Fraction(5, 7)
-
-
-def test_binomial_round_trip_seeded():
-    rng = seeded(17)
-    for n in range(1, 9):
-        for _ in range(10):
-            x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
-            assert binomial_inverse(binomial_forward(x, n), n) == x
-            assert binomial_forward(binomial_inverse(x, n), n) == x
-
-
-def test_binomial_inverse_by_hand_n2():
-    # solve the 3x3 triangular system for Y = (1, 0, 0) at n = 2 directly
-    y = [Fraction(1), Fraction(0), Fraction(0)]
-    x = binomial_inverse(y, 2)
-    assert binomial_forward(x, 2) == y
-    assert x[0] == 1 and x[1] == -2  # -C(2,1)
 
 
 def test_format_range_examples():

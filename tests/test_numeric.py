@@ -11,8 +11,6 @@ from kenergy.numeric import (
     CurveChart,
     QuadratureSpec,
     _plucker_fields,
-    bergman_metric,
-    chern1_density,
     curve_charts,
     energy_quadrature,
     gauss_bonnet,
@@ -21,6 +19,8 @@ from kenergy.numeric import (
     numeric_slope,
     volume_and_chern,
 )
+
+from oracles import bergman_metric, chern1_density
 
 FAST = QuadratureSpec(radial=96, angular=16, path_nodes=16)
 
@@ -80,6 +80,21 @@ def test_chart_overlap_consistency(conic_charts):
         a = metric_density_log(affine, S, np.array([u]), np.array([th]))[0]
         b = metric_density_log(infinity, S, np.array([-u]), np.array([-th]))[0]
         assert abs(a - b) < 1e-10
+
+
+@pytest.mark.parametrize("fixture", ["conic", "twisted_cubic"])
+def test_metric_density_against_the_lagrange_oracle(request, fixture):
+    # h |z|^2 from the z-derivative of the sections (Lagrange identity)
+    # against the program's closed-form density in w = log z
+    instance = request.getfixturevalue(fixture)
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        sigma = random_sl(instance.N + 1, rng)
+        for chart in curve_charts(instance):
+            z = rng.uniform(0.05, 1.0, 20) * np.exp(1j * rng.uniform(0, 2 * np.pi, 20))
+            want = bergman_metric(chart, sigma, z) * np.abs(z) ** 2
+            got = np.exp(metric_density_log(chart, sigma, np.log(np.abs(z)), np.angle(z)))
+            assert np.max(np.abs(got / want - 1.0)) < 1e-10
 
 
 def test_chern1_density_round_conic_positive(conic_charts):
@@ -159,13 +174,18 @@ def test_energy_quadrature_requires_traceless(conic):
         energy_quadrature(conic, np.eye(3), FAST)
 
 
+def test_energy_quadrature_rejects_bad_input(conic):
+    with pytest.raises(KEnergyError):
+        energy_quadrature(conic, np.diag([1.0, -1.0]), FAST)
+    with pytest.raises(KEnergyError):
+        energy_quadrature(conic, np.zeros((3, 3)), FAST, path="quadratic")
+
+
 def test_path_independence(conic):
     xi = np.diag([0.9, -0.2, -0.7]).astype(complex)
     spec = QuadratureSpec(radial=192, angular=16, path_nodes=24)
     exp_value = energy_quadrature(conic, xi, spec, path="exponential")
-    quad_value = energy_quadrature(conic, xi, spec, path="quadratic")
     affine_value = energy_quadrature(conic, xi, spec, path="affine")
-    assert abs(exp_value - quad_value) < 1e-5
     assert abs(exp_value - affine_value) < 1e-5
 
 
@@ -182,7 +202,7 @@ def test_paths_agree_at_a_hermitian_xi(conic, twisted_cubic):
     for instance in (conic, twisted_cubic):
         xi = _hermitian(instance.N + 1, rng)
         values = [energy_quadrature(instance, xi, path=path)
-                  for path in ("exponential", "quadratic", "affine")]
+                  for path in ("exponential", "affine")]
         assert max(values) - min(values) < 1e-10
 
 
@@ -200,6 +220,12 @@ def test_gauss_bonnet_to_rounding(conic, twisted_cubic):
 def test_numeric_slope_short_grid(conic):
     report = numeric_slope(conic, (2, -1, -1), [1e-1, 10 ** -1.75, 10 ** -2.5], FAST, -6)
     assert abs(report.fit_slope - (-6)) < 0.25  # coarse grid, sanity only
+
+
+def test_numeric_slope_rejects_magnitudes_outside_the_unit_interval(conic):
+    for samples in ([1e-1, 2.0], [0.0, 1e-2], [-1e-1, 1e-2]):
+        with pytest.raises(KEnergyError):
+            numeric_slope(conic, (2, -1, -1), samples, FAST, -6)
 
 
 def test_quadrature_spec_validation():

@@ -10,16 +10,13 @@ from kenergy.pairing import (
     FormalTensor,
     GroupElement,
     OneParamSubgroup,
-    fs_distance,
     fs_norm_sq,
-    fs_norm_sq_exact,
     log_norm_ratio,
-    log_tan_sq,
     min_weight,
-    pair_distance,
 )
 
-from conftest import random_exact_poly, random_float_sl, random_rational_sl, seeded
+from conftest import random_exact_poly, random_float_sl, seeded
+from oracles import fs_norm_sq_exact
 
 SHAPE = (1, 3)
 
@@ -38,15 +35,23 @@ def test_fs_norm_conic_disc(conic_disc):
     assert abs(fs_norm_sq(conic_disc) - 16.5) < 1e-12
 
 
+def assert_norm_matches_oracle(p):
+    # the program's log-sum-exp norm against the exact rational sum
+    want = float(fs_norm_sq_exact(p))
+    assert abs(fs_norm_sq(p) - want) <= 1e-12 * want
+
+
 def test_fs_norm_monomial_power():
     for d in (1, 3, 5):
         mono = var(0) ** d
         assert fs_norm_sq_exact(mono) == Fraction(1, math.factorial(d))
+        assert_norm_matches_oracle(mono)
 
 
 def test_fs_norm_cross_term():
     p = (var(0) * var(1)).scale(2)
     assert fs_norm_sq_exact(p) == 4
+    assert_norm_matches_oracle(p)
 
 
 def test_fs_norm_scaling_invariance():
@@ -57,6 +62,8 @@ def test_fs_norm_scaling_invariance():
             continue
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         assert fs_norm_sq_exact(p.scale(c)) == c * c * fs_norm_sq_exact(p)
+        assert_norm_matches_oracle(p)
+        assert_norm_matches_oracle(p.scale(c))
 
 
 def test_zero_polynomial_rejected():
@@ -130,7 +137,7 @@ def test_action_compatibility(conic_disc):
     sigma = random_float_sl(3, rng)
     tau = random_float_sl(3, rng)
     pulled = right_substitute(conic_disc, tau.entries)
-    lhs = log_norm_ratio(sigma.compose(tau), conic_disc)
+    lhs = log_norm_ratio(GroupElement.from_matrix(sigma.matrix @ tau.matrix), conic_disc)
     rhs = log_norm_ratio(sigma, pulled) + log_norm_ratio(tau, conic_disc)
     assert abs(lhs - rhs) < 1e-9
 
@@ -158,32 +165,23 @@ def test_tensor_rejects_bad_factors(conic_disc):
         FormalTensor((("zero", MatrixPoly.zero(SHAPE), 1),))
 
 
-def test_fs_distance_examples(conic_disc):
-    assert fs_distance(conic_disc, conic_disc) < 1e-12
-    assert abs(fs_distance(var(0), var(1)) - math.pi / 2) < 1e-12
-
-
-def test_distance_identity_random_rational():
-    rng = seeded(61)
-    for _ in range(30):
-        v = random_exact_poly((1, 3), rng)
-        w = random_exact_poly((1, 3), rng)
-        if v.is_zero or w.is_zero:
-            continue
-        sigma = random_rational_sl(3, seeded(rng.randint(0, 10**6)))
-        sv = right_substitute(v, sigma.entries)
-        sw = right_substitute(w, sigma.entries)
-        angle = pair_distance(sv, sw)
-        lhs = math.log(fs_norm_sq(sw)) - math.log(fs_norm_sq(sv))
-        assert abs(lhs - log_tan_sq(angle)) < 1e-9
-
-
 def test_one_param_subgroup_validation():
     with pytest.raises(KEnergyError):
         OneParamSubgroup((1, 1, -1))
     lam = OneParamSubgroup((2, -1, -1))
-    assert (-lam).weights == (-2, 1, 1)
     assert lam.at(Fraction(1, 2)).exact
+
+
+def test_sizes_must_match_the_columns(conic_disc):
+    # conic_disc has 3 columns; zip would silently truncate a shorter vector
+    for weights in ((1, -1), (2, -1, -1, 0)):
+        with pytest.raises(KEnergyError):
+            min_weight(OneParamSubgroup(weights), conic_disc)
+    # the diagonal branch scales columns without a substitution
+    for sigma in (GroupElement.identity(2), OneParamSubgroup((1, -1)).at(0.5),
+                  GroupElement.identity(4)):
+        with pytest.raises(KEnergyError):
+            log_norm_ratio(sigma, conic_disc)
 
 
 def test_group_element_determinant_check():
