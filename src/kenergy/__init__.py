@@ -9,10 +9,9 @@ from .catalog import (
     load_instance,
     save_instance,
 )
-from .chern import ChernProfile, GradedClass, derive_jet_top_chern, hypersurface_mu
+from .chern import GradedClass, derive_jet_top_chern, hypersurface_mu
 from .energy import (
     EnergyBreakdown,
-    PairVectors,
     build_pair_vectors,
     energy_coefficients,
     energy_via_formula,
@@ -35,7 +34,6 @@ from .numeric import (
     mu_quadrature,
 )
 from .pairing import (
-    FormalTensor,
     GroupElement,
     OneParamSubgroup,
     fs_norm_sq,

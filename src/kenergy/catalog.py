@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import ChernProfile, hypersurface_mu, rational_curve_profile
+from .chern import hypersurface_mu, rational_curve_profile
 from .errors import (
     DegreeMismatchError,
     InvalidInstanceError,
@@ -373,7 +373,10 @@ def build_instance(name, **params):
         if base == "user":
             params.setdefault("path", arg.strip())
         else:
-            params.setdefault("degree" if "curve" in base else "dim", int(arg))
+            try:
+                params.setdefault("degree" if "curve" in base else "dim", int(arg))
+            except ValueError as exc:
+                raise InvalidInstanceError(f"'{name}': expected an integer in parentheses") from exc
     if base == "conic":
         instance = _conic_instance()
     elif base == "rational_normal_curve":
@@ -423,7 +426,7 @@ def save_instance(instance: VarietyInstance, outdir):
         "n": instance.data.n,
         "N": instance.data.N,
         "d": instance.data.d,
-        "mu": [fraction_str(m) for m in instance.data.mu_values],
+        "mu": [fraction_str(m) for m in instance.data.mu],
         "delta": instance.data.delta,
         "parametrization": [list(e) for e in instance.parametrization],
     }
@@ -448,11 +451,9 @@ def load_instance(path) -> VarietyInstance:
         raise InvalidInstanceError(f"cannot read {meta_path}: {exc}") from exc
     try:
         n = int(meta["n"])
-        profile = ChernProfile(
-            n=n, mu=tuple(Fraction(m) for m in meta["mu"]), d=int(meta["d"]), N=int(meta["N"])
-        )
         data = VarietyData(
-            n=n, N=int(meta["N"]), d=int(meta["d"]), mu=profile, delta=int(meta.get("delta", 0))
+            n=n, N=int(meta["N"]), d=int(meta["d"]), mu=meta["mu"],
+            delta=int(meta.get("delta", 0)),
         )
         parametrization = tuple(tuple(int(v) for v in e) for e in meta["parametrization"])
     except (KeyError, ValueError, TypeError) as exc:

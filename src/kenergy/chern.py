@@ -15,7 +15,6 @@ computation ever produces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import KEnergyError
@@ -195,39 +194,24 @@ def jet_top_chern_closed_form(n, k):
     return GradedClass(n, k, coeffs)
 
 
-@dataclass(frozen=True)
-class ChernProfile:
-    """Normalized Chern numbers mu_i = (1/V) integral c_i(omega) ^ omega^{n-i}."""
-
-    n: int
-    mu: tuple
-    d: int
-    N: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(Fraction(m) for m in self.mu))
-        if len(self.mu) != self.n + 1:
-            raise KEnergyError(f"profile needs {self.n + 1} values, got {len(self.mu)}")
-        if self.mu[0] != 1:
-            raise KEnergyError("mu_0 must equal 1")
-
-
 def hypersurface_mu(n, d):
-    """Chern profile of a smooth degree-d hypersurface in CP^{n+1}.
+    """Normalized Chern numbers (mu_0, ..., mu_n) of a smooth degree-d
+    hypersurface in CP^{n+1}.
 
     From adjunction, c(T_X) = (1+h)^{n+2}/(1+dh) restricted to X, so
     mu_k = sum_{j<=k} C(n+2, k-j) (-d)^j.
     """
     if n < 1 or d < 2:
         raise KEnergyError("need n >= 1 and d >= 2")
-    mu = []
-    for k in range(n + 1):
-        mu.append(sum(comb(n + 2, k - j) * (-d) ** j for j in range(k + 1)))
-    return ChernProfile(n=n, mu=tuple(mu), d=d, N=n + 1)
+    return tuple(
+        Fraction(sum(comb(n + 2, k - j) * (-d) ** j for j in range(k + 1)))
+        for k in range(n + 1)
+    )
 
 
 def rational_curve_profile(d):
-    """Chern profile of the degree-d rational normal curve in CP^d."""
+    """Normalized Chern numbers (mu_0, mu_1) of the degree-d rational normal
+    curve in CP^d."""
     if d < 2:
         raise KEnergyError("need degree d >= 2")
-    return ChernProfile(n=1, mu=(Fraction(1), Fraction(2, d)), d=d, N=d)
+    return (Fraction(1), Fraction(2, d))

@@ -69,56 +69,69 @@ def emit(payload, fmt="json"):
         raise KEnergyError(f"unknown output format '{fmt}'")
 
 
-def _parse_int_list(text):
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_fraction_list(text):
-    return tuple(Fraction(v.strip()) for v in text.split(",") if v.strip())
+def _parse_list(text, convert, what):
+    try:
+        return tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise KEnergyError(f"'{text}' is not a comma list of {what}: {exc!r}") from exc
 
 
 def _parse_samples(text):
     """Grid spec 'a:b:count' (geometric from a to b) or a comma list."""
-    if ":" in text:
+    if ":" not in text:
+        return _parse_list(text, float, "numbers")
+    try:
         a, b, count = text.split(":")
         a, b, count = float(a), float(b), int(count)
-        if count < 2:
-            raise KEnergyError("sample grid needs at least 2 points")
-        if a <= 0 or b <= 0:
-            raise KEnergyError("sample grid ends must be positive")
-        ratio = (b / a) ** (1.0 / (count - 1))
-        return tuple(a * ratio**i for i in range(count))
-    return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise KEnergyError(f"sample grid '{text}' is not a:b:count: {exc}") from exc
+    if count < 2:
+        raise KEnergyError("sample grid needs at least 2 points")
+    if a <= 0 or b <= 0:
+        raise KEnergyError("sample grid ends must be positive")
+    ratio = (b / a) ** (1.0 / (count - 1))
+    return tuple(a * ratio**i for i in range(count))
+
+
+def _load_json(path, what):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+            raise KEnergyError(f"{what} file {path} is not JSON: {exc}") from exc
 
 
 def _load_sigma(path, size=None):
-    with open(path) as fh:
-        data = json.load(fh)
     rows = []
-    for row in data:
-        out = []
-        for cell in row:
-            if isinstance(cell, dict):
-                re, im = cell.get("re", 0), cell.get("im", 0)
-            elif isinstance(cell, (int, float)):
-                re, im = cell, 0
-            else:
-                re, im = cell[0], cell[1]
-            if isinstance(re, str) or isinstance(im, str):
-                out.append(GaussianRational(Fraction(str(re)), Fraction(str(im))))
-            elif isinstance(re, int) and isinstance(im, int):
-                out.append(GaussianRational(re, im))
-            else:
-                out.append(complex(re, im))
-        rows.append(out)
+    try:
+        for row in _load_json(path, "sigma"):
+            out = []
+            for cell in row:
+                if isinstance(cell, dict):
+                    re, im = cell.get("re", 0), cell.get("im", 0)
+                elif isinstance(cell, (int, float)):
+                    re, im = cell, 0
+                else:
+                    re, im = cell[0], cell[1]
+                if isinstance(re, str) or isinstance(im, str):
+                    out.append(GaussianRational(Fraction(str(re)), Fraction(str(im))))
+                elif isinstance(re, int) and isinstance(im, int):
+                    out.append(GaussianRational(re, im))
+                else:
+                    out.append(complex(re, im))
+            rows.append(out)
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise KEnergyError(f"sigma file {path} is not a matrix of numbers: {exc!r}") from exc
     if size is not None and len(rows) != size:
         raise KEnergyError(f"sigma must be {size}x{size} for this instance")
     return GroupElement.from_matrix(rows)
 
 
 def _load_poly(path):
-    with open(path) as fh:
-        return MatrixPoly.from_json_dict(json.load(fh))
+    try:
+        return MatrixPoly.from_json_dict(_load_json(path, "polynomial"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise KEnergyError(f"polynomial file {path} is malformed: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +168,8 @@ def cmd_catalog(args):
 
 
 def cmd_degrees(args):
-    mu = _parse_fraction_list(args.mu)
-    profile = chern.ChernProfile(n=args.n, mu=mu, d=args.deg, N=args.N)
-    data = inv.VarietyData(n=args.n, N=args.N, d=args.deg, mu=profile, delta=args.delta)
+    mu = _parse_list(args.mu, Fraction, "fractions")
+    data = inv.VarietyData(n=args.n, N=args.N, d=args.deg, mu=mu, delta=args.delta)
     degree = inv.hyperdiscriminant_degree(data, args.k)
     fr = inv.format_range(data)
     degs = inv.degree_vector(data, args.k)
@@ -216,7 +228,7 @@ def cmd_norm(args):
 
 def cmd_weight(args):
     poly = _load_poly(args.file)
-    lam = OneParamSubgroup(_parse_int_list(args.lam))
+    lam = OneParamSubgroup(_parse_list(args.lam, int, "integers"))
     emit(
         {
             "config": {"subcommand": "weight", "lambda": list(lam.weights),
@@ -249,7 +261,8 @@ def cmd_energy(args):
     identity_holds = True
     if args.cross_check:
         coefficients = energy_mod.energy_coefficients(instance, args.k)
-        identity_holds = energy_mod.pair_exponents(instance, args.k) == coefficients
+        v, w = energy_mod.build_pair_vectors(instance, args.k)
+        identity_holds = tuple(a - b for a, b in zip(v, w)) == coefficients
         result["coefficients"] = list(coefficients)
         result["pairIdentity"] = "PASS" if identity_holds else "FAIL"
     emit(
@@ -267,7 +280,7 @@ def cmd_energy(args):
 
 def cmd_asymptotics(args):
     instance = cat.load_instance(args.instance)
-    lam = OneParamSubgroup(_parse_int_list(args.lam))
+    lam = OneParamSubgroup(_parse_list(args.lam, int, "integers"))
     result = {"Ak": asym.slope_integer(instance, args.k, lam)}
     if args.fit:
         report = asym.slope_fit(instance, args.k, lam, _parse_samples(args.fit))
@@ -318,7 +331,7 @@ def cmd_numeric(args):
         report = num.mu_quadrature(instance, spec)
         result = {"mu1": report.mu1, "volume": report.volume,
                   "chernNumber": report.chern_number,
-                  "mu1Exact": str(instance.data.mu_values[1])}
+                  "mu1Exact": str(instance.data.mu[1])}
     elif args.check == "gauss-bonnet":
         rng = np.random.default_rng(args.seed)
         values = [
@@ -327,7 +340,7 @@ def cmd_numeric(args):
         ]
         result = {"chernNumbers": values, "expected": 2.0}
     elif args.check == "slope":
-        weights = _parse_int_list(args.xi)
+        weights = _parse_list(args.xi, int, "integers")
         samples = _parse_samples(args.samples)
         algebraic = asym.slope_integer(
             instance, 1, OneParamSubgroup(weights)
@@ -341,7 +354,7 @@ def cmd_numeric(args):
             ],
         }
     elif args.check == "path":
-        weights = [float(v) for v in args.xi.split(",")]
+        weights = _parse_list(args.xi, float, "numbers")
         xi = np.diag(np.array(weights, dtype=complex))
         xi -= np.trace(xi) / len(weights) * np.eye(len(weights))
         via_exp = num.energy_quadrature(instance, xi, spec, path="exponential")

@@ -11,11 +11,11 @@ over any per-polynomial value: log-norm ratios give the energy, moment
 matrices its gradient, minimal weights the slope A_k, and unit integers the
 vector c of `energy_coefficients`, so M_k = sum_i c_i LR(Delta^(n-i)) with
 i = 0 the Chow form.  The pair (v_k, w_k) of `build_pair_vectors` is the
-paper's tensor form of the same energy: for each factor, its exponent in v_k
-minus its exponent in w_k is c_i.  The value at the identity is exactly
-zero.  The analytic normalization -(n+1)(n-k+1)V is already folded into the
-integer coefficients; the quadrature module uses the same normalization so
-slopes match.
+paper's tensor form of the same energy, held as two integer exponent vectors
+over the stored polynomials with v_k - w_k = c.  The value at the identity
+is exactly zero.  The analytic normalization -(n+1)(n-k+1)V is already
+folded into the integer coefficients; the quadrature module uses the same
+normalization so slopes match.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .chern import comb
 from .errors import FormatRangeError, KEnergyError
 from .exactpoly import MatrixPoly, right_substitute
 from .invariants import degree_vector, format_range
-from .pairing import FormalTensor, GroupElement, log_norm_ratio
+from .pairing import GroupElement, log_norm_ratio
 
 
 def _check_admissible(instance: VarietyInstance, k: int):
@@ -42,21 +42,9 @@ def _check_admissible(instance: VarietyInstance, k: int):
         )
 
 
-@dataclass(frozen=True)
-class PairVectors:
-    """The tensor pair whose log-norm difference is the k-th energy."""
-
-    k: int
-    v: FormalTensor
-    w: FormalTensor
-
-    def __post_init__(self):
-        if self.v.total_degree() != self.w.total_degree():
-            raise KEnergyError("pair vectors must have equal total degree")
-
-
-def build_pair_vectors(instance: VarietyInstance, k: int) -> PairVectors:
-    """Exponent bookkeeping for v_k and w_k.
+def build_pair_vectors(instance: VarietyInstance, k: int) -> tuple:
+    """The pair (v_k, w_k) as two tuples of k+1 exponents, indexed like
+    `instance.polynomial(i)` (i = 0 the Chow form R).
 
     With degrees dv[i] = deg Delta^(n-i) (dv[0] the Chow degree),
 
@@ -64,39 +52,22 @@ def build_pair_vectors(instance: VarietyInstance, k: int) -> PairVectors:
       w = R^{sum_j C(n-2j+1, n-k) dv[2j-1]} (x) prod_j Delta^(n-2j) ^ {C(n-2j, n-k) dv[0]}
 
     where j runs over 1..floor(k/2) for the even-index pieces and
-    1..ceil(k/2) for the odd-index ones; zero exponents are omitted.
+    1..ceil(k/2) for the odd-index ones; a polynomial absent from a tensor
+    has exponent 0 there.  Both tensors must have the same total degree.
     """
     _check_admissible(instance, k)
     n = instance.n
     dv = degree_vector(instance.data, k)
-    chow = instance.discriminants.chow
-
-    v_chow_exp = sum(comb(n - 2 * j, n - k) * dv[2 * j] for j in range(1, k // 2 + 1))
-    w_chow_exp = sum(
-        comb(n - 2 * j + 1, n - k) * dv[2 * j - 1] for j in range(1, (k + 1) // 2 + 1)
-    )
-
-    v_factors = []
-    if v_chow_exp:
-        v_factors.append(("chow", chow, v_chow_exp))
-    for j in range(1, (k + 1) // 2 + 1):
-        i = 2 * j - 1
-        e = comb(n - i, n - k) * dv[0]
-        if e:
-            v_factors.append((f"hyper_{i}", instance.polynomial(i), e))
-
-    w_factors = []
-    if w_chow_exp:
-        w_factors.append(("chow", chow, w_chow_exp))
-    for j in range(1, k // 2 + 1):
-        i = 2 * j
-        e = comb(n - i, n - k) * dv[0]
-        if e:
-            w_factors.append((f"hyper_{i}", instance.polynomial(i), e))
-
-    return PairVectors(
-        k=k, v=FormalTensor(tuple(v_factors)), w=FormalTensor(tuple(w_factors))
-    )
+    v = [0] * (k + 1)
+    w = [0] * (k + 1)
+    for i in range(1, k + 1):
+        # odd i: Delta^(n-i) in v, balanced by the Chow form in w; even i: the reverse
+        hyper, chow = (v, w) if i % 2 else (w, v)
+        hyper[i] = comb(n - i, n - k) * dv[0]
+        chow[0] += comb(n - i, n - k) * dv[i]
+    if sum(e * d for e, d in zip(v, dv)) != sum(e * d for e, d in zip(w, dv)):
+        raise KEnergyError("pair vectors must have equal total degree")
+    return tuple(v), tuple(w)
 
 
 @dataclass(frozen=True)
@@ -157,17 +128,6 @@ def energy_coefficients(instance, k) -> tuple:
     """The integer vector c with M_k = sum_{i=0}^{k} c_i LR(Delta^(n-i))."""
     unit = np.eye(k + 1, dtype=np.int64)
     return tuple(int(c) for c in combine(instance, k, lambda i: unit[i]).total)
-
-
-def pair_exponents(instance, k) -> tuple:
-    """For each stored polynomial Delta^(n-i), i = 0..k, its exponent in v_k
-    minus its exponent in w_k (exact integers)."""
-    pair = build_pair_vectors(instance, k)
-    net = [0] * (k + 1)
-    for sign, tensor in ((1, pair.v), (-1, pair.w)):
-        for label, _, power in tensor.factors:
-            net[0 if label == "chow" else int(label.split("_")[1])] += sign * power
-    return tuple(net)
 
 
 def energy_via_formula(instance, sigma, k) -> EnergyBreakdown:
@@ -301,6 +261,9 @@ def minimize_energy(instance, k, sigma0, max_iters=100, step=0.5, tol=1e-8):
     trace of energies is nonincreasing by construction.
     """
     _check_admissible(instance, k)
+    if not (math.isfinite(step) and step > 0) or max_iters < 0:
+        raise KEnergyError(f"descent needs a positive finite step and max_iters >= 0, "
+                           f"got step={step}, max_iters={max_iters}")
     sigma = sigma0
     basis = sl_basis(sigma0.size)
     stacked = np.array(basis)

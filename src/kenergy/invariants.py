@@ -16,21 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chern import ChernProfile, comb
+from .chern import comb
 from .errors import FormatRangeError, KEnergyError
 
 
 @dataclass(frozen=True)
 class VarietyData:
-    """Numeric/combinatorial data of a polarized variety."""
+    """Data of a polarized variety; mu_i = (1/V) integral c_i(omega) ^ omega^{n-i}."""
 
     n: int
     N: int
     d: int
-    mu: ChernProfile
+    mu: tuple
     delta: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "mu", tuple(Fraction(m) for m in self.mu))
+        if len(self.mu) != self.n + 1:
+            raise KEnergyError(f"profile needs {self.n + 1} values, got {len(self.mu)}")
+        if self.mu[0] != 1:
+            raise KEnergyError("mu_0 must equal 1")
         if self.n >= self.N:
             raise KEnergyError("need n < N")
         if self.d < 2:
@@ -41,12 +46,6 @@ class VarietyData:
             raise KEnergyError("dual defect exceeds the n-2 bound")
         if self.delta > self.n:
             raise KEnergyError("empty format range")
-        if self.mu.n != self.n:
-            raise KEnergyError("Chern profile dimension mismatch")
-
-    @property
-    def mu_values(self):
-        return self.mu.mu
 
 
 def hyperdiscriminant_degree(data: VarietyData, k: int) -> int:
@@ -58,7 +57,7 @@ def hyperdiscriminant_degree(data: VarietyData, k: int) -> int:
         )
     total = Fraction(0)
     for i in range(k + 1):
-        total += (-1) ** i * (n - i + 1) * comb(n - i, n - k) * data.mu_values[i]
+        total += (-1) ** i * (n - i + 1) * comb(n - i, n - k) * data.mu[i]
     total *= data.d
     if total.denominator != 1 or total <= 0:
         raise KEnergyError(

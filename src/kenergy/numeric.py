@@ -221,7 +221,7 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
     taus = 0.5 * (xt + 1.0)
     wtaus = 0.5 * wt
 
-    mu1 = float(instance.data.mu_values[1])
+    mu1 = float(instance.data.mu[1])
     vol = float(instance.data.d)
     herm = xi + xi.conj().T
     total = 0.0

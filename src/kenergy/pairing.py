@@ -1,13 +1,11 @@
-"""Factorial-weighted norms, group bookkeeping, weights and formal tensors.
+"""Factorial-weighted norms, group bookkeeping and weights.
 
 The squared norm of a polynomial is sum |c_alpha|^2 / alpha! with alpha! the
 product of factorials of all matrix-entry exponents.  Log-norms are always
 evaluated in floating point with max-term factoring (a log-sum-exp), so
-one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Formal
-tensors (the pair v_k, w_k of kenergy.energy) are products of stored
-polynomials with integer powers that are never expanded; their log-norm
-ratios and weights are the per-polynomial ones combined with those powers,
-which kenergy.energy nets into one integer vector.
+one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Everything
+here is per stored polynomial; kenergy.energy combines the values with
+integer coefficients, so the tensors of the pair (v_k, w_k) are never formed.
 
 The weight of a monomial under an integer one-parameter subgroup is the dot
 product of its column-degree vector with the weights; the asymptotic slope of
@@ -233,25 +231,3 @@ def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
             best = w
     return best
 
-
-# ---------------------------------------------------------------------------
-# Formal tensors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FormalTensor:
-    """Formal product of named polynomials with positive integer exponents,
-    never expanded."""
-
-    factors: tuple  # of (label, MatrixPoly, power)
-
-    def __post_init__(self):
-        for label, poly, power in self.factors:
-            if power < 1:
-                raise KEnergyError(f"factor '{label}' has non-positive power")
-            if poly.is_zero:
-                raise ZeroPolynomialError(f"factor '{label}' is zero")
-
-    def total_degree(self):
-        return sum(power * poly.total_degree() for _, poly, power in self.factors)

@@ -14,7 +14,7 @@ from kenergy.pairing import OneParamSubgroup
 
 def brute_force_slope(instance, k, weights):
     """Independent oracle: raw enumeration of monomial weights, per factor."""
-    pair = build_pair_vectors(instance, k)
+    v, w = build_pair_vectors(instance, k)
 
     def poly_weight(poly):
         best = None
@@ -27,10 +27,10 @@ def brute_force_slope(instance, k, weights):
             best = w if best is None else min(best, w)
         return best
 
-    def tensor_weight(tensor):
-        return sum(power * poly_weight(poly) for _, poly, power in tensor.factors)
+    def tensor_weight(exponents):
+        return sum(e * poly_weight(instance.polynomial(i)) for i, e in enumerate(exponents))
 
-    return tensor_weight(pair.v) - tensor_weight(pair.w)
+    return tensor_weight(v) - tensor_weight(w)
 
 
 CASES = [

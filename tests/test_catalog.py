@@ -338,6 +338,15 @@ def test_load_rejects_degree_mismatch(tmp_path, conic):
         load_instance(tmp_path / "bad")
 
 
+def test_load_rejects_a_zero_polynomial(tmp_path, conic):
+    # the pair (v_k, w_k) takes every stored polynomial as a factor, so none may be zero
+    save_instance(conic, tmp_path / "bad")
+    zero = MatrixPoly.zero(conic.discriminants.hyper[1].shape)
+    (tmp_path / "bad" / "hyper_1.json").write_text(json.dumps(zero.to_json_dict()))
+    with pytest.raises(InvalidInstanceError, match="is zero"):
+        load_instance(tmp_path / "bad")
+
+
 def test_load_rejects_mixed_row_degrees(tmp_path, conic):
     save_instance(conic, tmp_path / "bad")
     chow = conic.discriminants.chow

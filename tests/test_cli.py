@@ -64,7 +64,7 @@ def test_energy_cross_check_fails_when_the_pair_does_not_net(tmp_path, capsys, c
                                                              monkeypatch):
     import kenergy.energy as energy_mod
 
-    monkeypatch.setattr(energy_mod, "pair_exponents", lambda instance, k: (-2, 5))
+    monkeypatch.setattr(energy_mod, "build_pair_vectors", lambda instance, k: ((0, 5), (2, 0)))
     sigma = identity_sigma_file(tmp_path, 3)
     code, out = run_cli(capsys, "energy", "--instance", conic_dir, "--k", "1",
                         "--sigma", sigma, "--cross-check")
@@ -165,8 +165,10 @@ def test_domain_error_exit_code(capsys, conic_dir, tmp_path):
     assert "error" in json.loads(out)
 
 
-# vectors of the wrong length (which zip would truncate) and sample grids that
-# leave (0, 1); each must exit 1 with an error object, not a result or a traceback
+# vectors of the wrong length (which zip would truncate), sample grids that
+# leave (0, 1), and values or files that do not parse ({tmp} holds the files
+# written below); each must exit 1 with an error object, not a result or a
+# traceback
 REJECTED = {
     "lambda-too-short": ("asymptotics", "--instance", "{conic}", "--k", "1", "--lambda", "1,-1"),
     "lambda-too-long-fit": ("asymptotics", "--instance", "{conic}", "--k", "1",
@@ -179,12 +181,38 @@ REJECTED = {
                               "--samples=-1e-1:1e-4:4"),
     "samples-above-one": ("numeric", "--instance", "{conic}", "--check", "slope",
                           "--samples", "1e-1,2"),
+    "fit-grid-two-fields": ("asymptotics", "--instance", "{conic}", "--k", "1",
+                            "--lambda", "2,-1,-1", "--fit", "1e-1:1e-4"),
+    "fit-grid-not-a-number": ("asymptotics", "--instance", "{conic}", "--k", "1",
+                              "--lambda", "2,-1,-1", "--fit", "a:1e-4:4"),
+    "weight-lambda-not-integer": ("weight", "--lambda", "1,x,-1", "{conic}/hyper_1.json"),
+    "slope-xi-not-integer": ("numeric", "--instance", "{conic}", "--check", "slope",
+                             "--xi", "2,x,-1"),
+    "path-xi-not-a-number": ("numeric", "--instance", "{conic}", "--check", "path",
+                             "--xi", "2,x,-1"),
+    "degrees-mu-not-a-fraction": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
+                                  "--mu", "1,x", "--k", "1"),
+    "degrees-mu-zero-denominator": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
+                                    "--mu", "1,1/0", "--k", "1"),
+    "catalog-argument-not-integer": ("catalog", "build", "rational_normal_curve(abc)",
+                                     "--out", "{tmp}/rnc"),
+    "sigma-not-json": ("energy", "--instance", "{conic}", "--k", "1",
+                       "--sigma", "{tmp}/not.json"),
+    "sigma-cell-one-part": ("energy", "--instance", "{conic}", "--k", "1",
+                            "--sigma", "{tmp}/one_part.json"),
+    "norm-not-json": ("norm", "{tmp}/not.json"),
+    "norm-not-a-polynomial": ("norm", "{tmp}/one_part.json"),
+    "minimize-negative-step": ("minimize", "--instance", "{conic}", "--k", "1",
+                               "--step", "-1", "--iters", "3"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
-def test_malformed_input_is_a_domain_error(capsys, conic_dir, case):
-    code, out = run_cli(capsys, *(arg.format(conic=conic_dir) for arg in REJECTED[case]))
+def test_malformed_input_is_a_domain_error(capsys, conic_dir, tmp_path, case):
+    (tmp_path / "not.json").write_text("[[1, 0, 0], [0, 1")
+    (tmp_path / "one_part.json").write_text("[[[1], 0, 0], [0, 1, 0], [0, 0, 1]]")
+    code, out = run_cli(capsys, *(arg.format(conic=conic_dir, tmp=tmp_path)
+                                  for arg in REJECTED[case]))
     assert code == 1
     assert set(json.loads(out)) == {"error"}
 

@@ -15,46 +15,50 @@ from kenergy.energy import (
     sl_basis,
 )
 from kenergy.catalog import DiscriminantSet, VarietyInstance
-from kenergy.errors import FormatRangeError
+from kenergy.errors import FormatRangeError, KEnergyError
 from kenergy.exactpoly import MatrixPoly, lie_derivative
 from kenergy.pairing import GroupElement, fs_norm_sq, log_norm_ratio
 from conftest import random_float_sl, random_rational_sl, seeded
 from oracles import fs_inner
 
 
+def pair_degree(instance, exponents):
+    """Total degree of the tensor with these exponents, from the stored polynomials."""
+    return sum(e * instance.polynomial(i).total_degree() for i, e in enumerate(exponents))
+
+
 def test_pair_vectors_conic(conic):
-    pair = build_pair_vectors(conic, 1)
-    assert [(l, p) for l, _, p in pair.v.factors] == [("hyper_1", 4)]
-    assert [(l, p) for l, _, p in pair.w.factors] == [("chow", 2)]
-    assert pair.v.total_degree() == pair.w.total_degree() == 8
+    v, w = build_pair_vectors(conic, 1)
+    assert (v, w) == ((0, 4), (2, 0))
+    assert pair_degree(conic, v) == pair_degree(conic, w) == 8
 
 
 def test_pair_vectors_quadric_k1(quadric_surface):
-    pair = build_pair_vectors(quadric_surface, 1)
-    assert [(l, p) for l, _, p in pair.v.factors] == [("hyper_1", 6)]
-    assert [(l, p) for l, _, p in pair.w.factors] == [("chow", 4)]
-    assert pair.v.total_degree() == pair.w.total_degree() == 24
+    v, w = build_pair_vectors(quadric_surface, 1)
+    assert (v, w) == ((0, 6), (4, 0))
+    assert pair_degree(quadric_surface, v) == pair_degree(quadric_surface, w) == 24
 
 
 def test_pair_vectors_quadric_k2(quadric_surface):
-    pair = build_pair_vectors(quadric_surface, 2)
-    assert [(l, p) for l, _, p in pair.v.factors] == [("chow", 2), ("hyper_1", 6)]
-    assert [(l, p) for l, _, p in pair.w.factors] == [("chow", 4), ("hyper_2", 6)]
-    assert pair.v.total_degree() == pair.w.total_degree() == 36
+    v, w = build_pair_vectors(quadric_surface, 2)
+    assert (v, w) == ((2, 6, 0), (4, 0, 6))
+    assert pair_degree(quadric_surface, v) == pair_degree(quadric_surface, w) == 36
 
 
 def test_pair_degree_balance_identity(conic, twisted_cubic, quadric_surface):
+    from kenergy.catalog import build_instance
     from kenergy.chern import comb
     from kenergy.invariants import degree_vector
 
-    for instance in (conic, twisted_cubic, quadric_surface):
+    for instance in (conic, twisted_cubic, quadric_surface,
+                     build_instance("rational_normal_curve", degree=4)):
         n = instance.n
         for k in range(1, n + 1):
-            pair = build_pair_vectors(instance, k)
+            v, w = build_pair_vectors(instance, k)
             dv = degree_vector(instance.data, k)
             expected = dv[0] * sum(comb(n - i, n - k) * dv[i] for i in range(1, k + 1))
-            assert pair.v.total_degree() == expected
-            assert pair.w.total_degree() == expected
+            assert pair_degree(instance, v) == expected
+            assert pair_degree(instance, w) == expected
 
 
 def test_energy_zero_at_identity(conic, quadric_surface):
@@ -264,6 +268,14 @@ def test_minimizer_descends_from_identity(conic):
     trace = minimize_energy(conic, 1, GroupElement.identity(3), max_iters=20)
     assert len(trace.energies) > 1
     assert trace.final_energy < 0.0  # strictly below M_1(identity) = 0
+
+
+@pytest.mark.parametrize("options", [{"step": 0.0}, {"step": -1.0}, {"step": float("inf")},
+                                     {"step": float("nan")}, {"max_iters": -1}])
+def test_minimizer_rejects_a_step_or_cap_out_of_range(conic, options):
+    # a step <= 0 used to end the line search at once and report 0 steps
+    with pytest.raises(KEnergyError):
+        minimize_energy(conic, 1, GroupElement.identity(3), **options)
 
 
 def test_gradient_norms_belong_to_their_sigmas(conic):

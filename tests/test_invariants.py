@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from kenergy.chern import ChernProfile, hypersurface_mu, rational_curve_profile
+from kenergy.chern import hypersurface_mu, rational_curve_profile
 from kenergy.errors import FormatRangeError, KEnergyError
 from kenergy.invariants import (
     VarietyData,
@@ -47,13 +47,13 @@ def test_chow_degree_is_always_n_plus_one_times_d():
 
 
 def test_degree_requires_admissible_format():
-    data = VarietyData(n=4, N=9, d=3, mu=ChernProfile(n=4, mu=(1, 1, 1, 1, 1), d=3, N=9), delta=2)
+    data = VarietyData(n=4, N=9, d=3, mu=(1, 1, 1, 1, 1), delta=2)
     with pytest.raises(FormatRangeError):
         hyperdiscriminant_degree(data, 3)
 
 
 def test_degree_rejects_inconsistent_mu():
-    bad = VarietyData(n=1, N=2, d=2, mu=ChernProfile(n=1, mu=(1, Fraction(1, 3)), d=2, N=2))
+    bad = VarietyData(n=1, N=2, d=2, mu=(1, Fraction(1, 3)))
     with pytest.raises(KEnergyError):
         hyperdiscriminant_degree(bad, 1)
 
@@ -68,7 +68,7 @@ def test_degree_mu_round_trip_for_catalog_data():
     for data in (conic_data(), rnc_data(3), rnc_data(4), quadric_surface_data()):
         degs = degree_vector(data, data.n)
         for k in range(data.n + 1):
-            assert mu_from_degrees(degs[: k + 1], data.d, data.n, k) == data.mu_values[k]
+            assert mu_from_degrees(degs[: k + 1], data.d, data.n, k) == data.mu[k]
 
 
 def test_format_range_examples():
@@ -77,7 +77,7 @@ def test_format_range_examples():
     fr = format_range(quadric_surface_data())
     assert (fr.lo, fr.hi) == (0, 2) and fr.admissible_k == (1, 2)
     data = VarietyData(
-        n=4, N=9, d=3, mu=ChernProfile(n=4, mu=(1, 1, 1, 1, 1), d=3, N=9), delta=2
+        n=4, N=9, d=3, mu=(1, 1, 1, 1, 1), delta=2
     )
     fr = format_range(data)
     assert (fr.lo, fr.hi) == (2, 4)
@@ -89,6 +89,12 @@ def test_variety_data_invariants():
     with pytest.raises(KEnergyError):
         VarietyData(n=2, N=2, d=2, mu=hypersurface_mu(2, 2))
     with pytest.raises(KEnergyError):
-        VarietyData(n=2, N=3, d=1, mu=ChernProfile(n=2, mu=(1, 0, 0), d=1, N=3))
+        VarietyData(n=2, N=3, d=1, mu=(1, 0, 0))
     with pytest.raises(KEnergyError):
-        VarietyData(n=3, N=5, d=2, mu=ChernProfile(n=3, mu=(1, 0, 0, 0), d=2, N=5), delta=2)
+        VarietyData(n=3, N=5, d=2, mu=(1, 0, 0, 0), delta=2)
+    with pytest.raises(KEnergyError, match="mu_0 must equal 1"):
+        VarietyData(n=1, N=2, d=2, mu=(2, 1))
+    with pytest.raises(KEnergyError, match="profile needs 2 values, got 3"):
+        VarietyData(n=1, N=2, d=2, mu=(1, 1, 1))
+    assert VarietyData(n=1, N=3, d=3, mu=("1", "2/3")).mu == (1, Fraction(2, 3))
+    assert all(isinstance(m, Fraction) for m in conic_data().mu)

@@ -7,7 +7,6 @@ import pytest
 from kenergy.errors import KEnergyError, ZeroPolynomialError
 from kenergy.exactpoly import MatrixPoly, right_substitute
 from kenergy.pairing import (
-    FormalTensor,
     GroupElement,
     OneParamSubgroup,
     fs_norm_sq,
@@ -146,8 +145,6 @@ def test_tensor_ops_on_quadric_pair(quadric_surface):
     chow = quadric_surface.discriminants.chow
     hyperdet = quadric_surface.discriminants.hyper[1]
     dual = quadric_surface.discriminants.hyper[2]
-    v2 = FormalTensor((("chow", chow, 2), ("hyper_1", hyperdet, 6)))
-    w2 = FormalTensor((("chow", chow, 4), ("hyper_2", dual, 6)))
     lam = OneParamSubgroup((3, -1, -1, -1))
     # w(v2) = 2 w(chow) + 6 w(hyperdet) = -28 and w(w2) = 4 w(chow) + 6 w(dual) = -20;
     # netted, A_2 = -8 = sum_i c_i w(Delta_i) with c = (-2, 6, -6)
@@ -155,14 +152,9 @@ def test_tensor_ops_on_quadric_pair(quadric_surface):
     assert 2 * weights[0] + 6 * weights[1] == -28
     assert 4 * weights[0] + 6 * weights[2] == -20
     assert -2 * weights[0] + 6 * weights[1] - 6 * weights[2] == -28 - (-20)
-    assert v2.total_degree() == w2.total_degree() == 36
-
-
-def test_tensor_rejects_bad_factors(conic_disc):
-    with pytest.raises(KEnergyError):
-        FormalTensor((("disc", conic_disc, 0),))
-    with pytest.raises(ZeroPolynomialError):
-        FormalTensor((("zero", MatrixPoly.zero(SHAPE), 1),))
+    # v2 = chow^2 (x) hyperdet^6 and w2 = chow^4 (x) dual^6 have equal degree
+    degrees = [p.total_degree() for p in (chow, hyperdet, dual)]
+    assert 2 * degrees[0] + 6 * degrees[1] == 4 * degrees[0] + 6 * degrees[2] == 36
 
 
 def test_one_param_subgroup_validation():
