@@ -18,7 +18,7 @@ from .energy import (
     minimize_energy,
 )
 from .errors import KEnergyError
-from .exactpoly import GaussianRational, MatrixPoly, right_substitute
+from .exactpoly import MatrixPoly, right_substitute
 from .invariants import (
     VarietyData,
     format_range,

@@ -32,8 +32,9 @@ from .errors import (
     DegreeMismatchError,
     InvalidInstanceError,
     KEnergyError,
+    ShapeMismatchError,
 )
-from .exactpoly import GaussianRational, MatrixPoly, coeff_abs_sq, fraction_str, laplace_det
+from .exactpoly import MatrixPoly, coeff_abs_sq, fraction_str, laplace_det
 from .invariants import VarietyData, hyperdiscriminant_degree, format_range
 
 
@@ -229,10 +230,9 @@ def normalize_scaling(p: MatrixPoly) -> MatrixPoly:
     mags = {exp: coeff_abs_sq(c) for exp, c in p.term_dict().items()}
     top = max(mags.values())
     for exp, c in p.term_dict().items():
-        if mags[exp] == top and isinstance(c, GaussianRational) and c.im == 0 and c.re > 0:
-            return p.scale(1 / c.re)
-    lead_coeff = p.terms()[0][1]
-    return p.scale(GaussianRational(1) / lead_coeff if isinstance(lead_coeff, GaussianRational) else 1 / lead_coeff)
+        if mags[exp] == top and isinstance(c, Fraction) and c > 0:
+            return p.scale(1 / c)
+    return p.scale(1 / p.terms()[0][1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,13 +442,18 @@ def save_instance(instance: VarietyInstance, outdir):
             fh.write("\n")
 
 
-def load_instance(path) -> VarietyInstance:
-    meta_path = os.path.join(path, "instance.json")
+def _read_json(fname, parse=None):
+    """JSON file contents, optionally parsed; any failure names the file."""
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInstanceError(f"cannot read {meta_path}: {exc}") from exc
+        with open(fname) as fh:
+            data = json.load(fh)
+        return data if parse is None else parse(data)
+    except (OSError, KeyError, ShapeMismatchError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInstanceError(f"cannot read {fname}: {exc!r}") from exc
+
+
+def load_instance(path) -> VarietyInstance:
+    meta = _read_json(os.path.join(path, "instance.json"))
     try:
         n = int(meta["n"])
         data = VarietyData(
@@ -458,15 +463,11 @@ def load_instance(path) -> VarietyInstance:
         parametrization = tuple(tuple(int(v) for v in e) for e in meta["parametrization"])
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed instance.json: {exc}") from exc
-    with open(os.path.join(path, "chow.json")) as fh:
-        chow = MatrixPoly.from_json_dict(json.load(fh))
-    hyper = {}
-    for i in range(1, n - data.delta + 1):
-        fname = os.path.join(path, f"hyper_{i}.json")
-        if not os.path.exists(fname):
-            raise InvalidInstanceError(f"missing {fname}")
-        with open(fname) as fh:
-            hyper[i] = MatrixPoly.from_json_dict(json.load(fh))
+    chow = _read_json(os.path.join(path, "chow.json"), MatrixPoly.from_json_dict)
+    hyper = {
+        i: _read_json(os.path.join(path, f"hyper_{i}.json"), MatrixPoly.from_json_dict)
+        for i in range(1, n - data.delta + 1)
+    }
     instance = VarietyInstance(
         name=str(meta.get("name", os.path.basename(str(path)))),
         data=data,
@@ -475,4 +476,3 @@ def load_instance(path) -> VarietyInstance:
     )
     validate_instance(instance)
     return instance
-

@@ -22,7 +22,7 @@ from . import energy as energy_mod
 from . import invariants as inv
 from . import numeric as num
 from .errors import KEnergyError
-from .exactpoly import GaussianRational, MatrixPoly
+from .exactpoly import MatrixPoly
 from .pairing import (
     GroupElement,
     OneParamSubgroup,
@@ -101,26 +101,27 @@ def _load_json(path, what):
             raise KEnergyError(f"{what} file {path} is not JSON: {exc}") from exc
 
 
+def _sigma_cell(cell):
+    """A JSON number, or {"re": ..., "im": ...} with "im" optional.  Exact
+    (Fraction) when both parts are strings or ints and the imaginary part is
+    zero; complex, in the floating lane, otherwise."""
+    if isinstance(cell, dict) and "re" in cell and set(cell) <= {"re", "im"}:
+        parts, kinds = (cell["re"], cell.get("im", 0)), (int, float, str)
+    else:
+        parts, kinds = (cell, 0), (int, float)
+    if any(isinstance(v, bool) or not isinstance(v, kinds) for v in parts):
+        raise ValueError(f"cell {cell!r} is neither a number nor an object "
+                         "with 're' and an optional 'im'")
+    re, im = (Fraction(v) if isinstance(v, str) else v for v in parts)
+    if not im and not isinstance(re, float) and not isinstance(im, float):
+        return Fraction(re)
+    return complex(re, im)
+
+
 def _load_sigma(path, size=None):
-    rows = []
     try:
-        for row in _load_json(path, "sigma"):
-            out = []
-            for cell in row:
-                if isinstance(cell, dict):
-                    re, im = cell.get("re", 0), cell.get("im", 0)
-                elif isinstance(cell, (int, float)):
-                    re, im = cell, 0
-                else:
-                    re, im = cell[0], cell[1]
-                if isinstance(re, str) or isinstance(im, str):
-                    out.append(GaussianRational(Fraction(str(re)), Fraction(str(im))))
-                elif isinstance(re, int) and isinstance(im, int):
-                    out.append(GaussianRational(re, im))
-                else:
-                    out.append(complex(re, im))
-            rows.append(out)
-    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        rows = [[_sigma_cell(cell) for cell in row] for row in _load_json(path, "sigma")]
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise KEnergyError(f"sigma file {path} is not a matrix of numbers: {exc!r}") from exc
     if size is not None and len(rows) != size:
         raise KEnergyError(f"sigma must be {size}x{size} for this instance")

@@ -6,9 +6,10 @@ dictionary mapping exponent matrices to coefficients:
   terms = { ((e00, e01, ...), (e10, e11, ...), ...): coefficient, ... }
 
 Exponent matrices are tuples of row tuples (row-major), one nonnegative integer
-per variable.  Coefficients are either GaussianRational (exact, the default) or
-Python complex (the floating lane used once a non-rational group element enters).
-A polynomial never stores zero coefficients and never mixes the two coefficient
+per variable.  Coefficients are either Fraction (exact, the default) or Python
+complex (the floating lane, used once a complex or non-rational group element
+enters; Python's numeric tower turns Fraction * complex into complex).  A
+polynomial never stores zero coefficients and never mixes the two coefficient
 kinds; the zero polynomial has an empty term dict but keeps its shape.
 
 The group SL(c, C) acts by substituting each row of the variable matrix with its
@@ -31,126 +32,18 @@ from .errors import ShapeMismatchError
 Exponent = tuple  # tuple[tuple[int, ...], ...], row-major
 
 
-class GaussianRational:
-    """Exact complex number with Fraction real and imaginary parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    # -- arithmetic (exact with exact operands, complex otherwise) --
-
-    def __add__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return complex(self) + other
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-_as_gaussian(other) if _as_gaussian(other) is not None else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return complex(self) * other
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return complex(self) / other
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(o.re / d, -o.im / d)
-
-    def __rtruediv__(self, other):
-        d = self.re * self.re + self.im * self.im
-        if d == 0:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        inv = GaussianRational(self.re / d, -self.im / d)
-        o = _as_gaussian(other)
-        if o is None:
-            return other * complex(inv)
-        return o * inv
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = GaussianRational(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
-    def abs_sq(self) -> Fraction:
-        """|c|^2 as an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __eq__(self, other):
-        o = _as_gaussian(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
-
-    def __repr__(self):
-        if not self.im:
-            return f"{self.re}"
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-def _as_gaussian(value):
-    """Coerce exact scalar types to GaussianRational, None for inexact ones."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
-    return None
-
-
 def as_coefficient(value):
-    """Normalize a scalar to the coefficient universe (GaussianRational or complex)."""
-    g = _as_gaussian(value)
-    if g is not None:
-        return g
+    """Normalize a scalar to the coefficient universe: int and Fraction to
+    Fraction (exact), float and complex to complex (floating)."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
     if isinstance(value, (float, complex)):
         return complex(value)
     raise TypeError(f"unsupported coefficient type {type(value).__name__}")
 
 
 def coeff_abs_sq(c):
-    """|c|^2: exact Fraction for GaussianRational, float for complex."""
-    if isinstance(c, GaussianRational):
-        return c.abs_sq()
+    """|c|^2: exact Fraction for Fraction, float for complex."""
     return c.real * c.real + c.imag * c.imag
 
 
@@ -227,7 +120,7 @@ class MatrixPoly:
 
     @property
     def is_exact(self):
-        return all(isinstance(c, GaussianRational) for c in self._terms.values())
+        return all(isinstance(c, Fraction) for c in self._terms.values())
 
     def num_terms(self):
         return len(self._terms)
@@ -357,8 +250,8 @@ class MatrixPoly:
             terms.append(
                 {
                     "exp": [list(row) for row in exp],
-                    "re": fraction_str(coeff.re),
-                    "im": fraction_str(coeff.im),
+                    "re": fraction_str(coeff),
+                    "im": "0",
                 }
             )
         return {"rows": self.shape[0], "cols": self.shape[1], "terms": terms}
@@ -369,7 +262,9 @@ class MatrixPoly:
         terms = {}
         for t in data["terms"]:
             exp = tuple(tuple(int(e) for e in row) for row in t["exp"])
-            terms[exp] = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
+            if Fraction(t["im"]):
+                raise ValueError(f"coefficient of {t['exp']} has imaginary part {t['im']}")
+            terms[exp] = Fraction(t["re"])
         return cls(shape, terms)
 
 
@@ -391,10 +286,10 @@ def column_degree(exp):
 def laplace_det(rows, one):
     """Determinant of a nonempty square matrix over any exact ring.
 
-    Entries may be MatrixPoly, Fraction or GaussianRational values; `one` is
-    the unit of their ring and zero is one - one.  Laplace expansion along
-    rows, memoized on the surviving column set, costs O(2^size) subset states
-    instead of size!; zero entries and zero minors are skipped.
+    Entries may be MatrixPoly or Fraction values; `one` is the unit of their
+    ring and zero is one - one.  Laplace expansion along rows, memoized on
+    the surviving column set, costs O(2^size) subset states instead of size!;
+    zero entries and zero minors are skipped.
     """
     size = len(rows)
     if size == 0 or any(len(row) != size for row in rows):
@@ -562,4 +457,4 @@ def _multinomial(total, alpha):
     out = math.factorial(total)
     for a in alpha:
         out //= math.factorial(a)
-    return GaussianRational(out)
+    return out

@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import KEnergyError, ShapeMismatchError, ZeroPolynomialError
 from .exactpoly import (
-    GaussianRational,
     MatrixPoly,
     as_coefficient,
     coeff_abs_sq,
@@ -38,7 +37,9 @@ DET_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of SL(N+1, C): exact (Gaussian rational) or floating entries."""
+    """Element of SL(N+1, C): exact (rational Fraction) or floating (complex)
+    entries.  Complex sigma lives only in the floating lane; a matrix is exact
+    when every entry is an int or a Fraction."""
 
     entries: tuple
     exact: bool
@@ -58,13 +59,15 @@ class GroupElement:
         if any(len(r) != size for r in rows):
             raise KEnergyError("group element must be square")
         coeffs = [[as_coefficient(v) for v in row] for row in rows]
-        exact = all(isinstance(v, GaussianRational) for row in coeffs for v in row)
+        exact = all(isinstance(v, Fraction) for row in coeffs for v in row)
+        if not exact:  # a floating element holds complex entries only
+            coeffs = [[complex(v) for v in row] for row in coeffs]
         if normalize and not exact:
-            det = np.linalg.det(np.array([[complex(v) for v in row] for row in coeffs]))
+            det = np.linalg.det(np.array(coeffs))
             if det == 0:
                 raise KEnergyError("matrix is singular")
             root = det ** (1.0 / size)
-            coeffs = [[complex(v) / root for v in row] for row in coeffs]
+            coeffs = [[v / root for v in row] for row in coeffs]
             return cls(entries=tuple(tuple(row) for row in coeffs), exact=False)
         ge = cls(entries=tuple(tuple(row) for row in coeffs), exact=exact)
         ge._check_determinant()
@@ -77,27 +80,20 @@ class GroupElement:
     @classmethod
     def diagonal(cls, values):
         vals = [as_coefficient(v) for v in values]
-        size = len(vals)
-        zero_exact = GaussianRational(0)
-        rows = []
-        for i in range(size):
-            row = []
-            for j in range(size):
-                if i == j:
-                    row.append(vals[i])
-                elif isinstance(vals[i], GaussianRational):
-                    row.append(zero_exact)
-                else:
-                    row.append(0j)
-            rows.append(tuple(row))
-        ge = cls(entries=tuple(rows), exact=all(isinstance(v, GaussianRational) for v in vals))
+        exact = all(isinstance(v, Fraction) for v in vals)
+        if not exact:
+            vals = [complex(v) for v in vals]
+        zero = Fraction(0) if exact else 0j
+        rows = tuple(tuple(v if i == j else zero for j in range(len(vals)))
+                     for i, v in enumerate(vals))
+        ge = cls(entries=rows, exact=exact)
         ge._check_determinant()
         return ge
 
     def _check_determinant(self):
         if self.exact:
-            det = laplace_det([list(row) for row in self.entries], GaussianRational(1))
-            if det != GaussianRational(1):
+            det = laplace_det([list(row) for row in self.entries], Fraction(1))
+            if det != 1:
                 raise KEnergyError(f"exact group element has determinant {det} != 1")
             return
         matrix = self.matrix

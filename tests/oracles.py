@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from kenergy.errors import KEnergyError, ShapeMismatchError, ZeroPolynomialError
-from kenergy.exactpoly import GaussianRational, MatrixPoly, as_coefficient
+from kenergy.exactpoly import MatrixPoly, as_coefficient
 from kenergy.numeric import _sigma_matrix
 
 
@@ -35,20 +35,12 @@ def evaluate(poly: MatrixPoly, matrix):
     if len(rows) != poly.shape[0] or any(len(r) != poly.shape[1] for r in rows):
         raise ShapeMismatchError(f"evaluation point has wrong shape, expected {poly.shape}")
     entries = [[as_coefficient(v) for v in row] for row in rows]
-    exact = poly.is_exact and all(
-        isinstance(v, GaussianRational) for row in entries for v in row
-    )
+    exact = poly.is_exact and all(isinstance(v, Fraction) for row in entries for v in row)
     if not exact:
-        entries = [
-            [complex(v) if isinstance(v, GaussianRational) else v for v in row]
-            for row in entries
-        ]
-    total = GaussianRational(0) if exact else complex(0)
+        entries = [[complex(v) for v in row] for row in entries]
+    total = Fraction(0) if exact else complex(0)
     for exp, coeff in poly.terms():
-        if exact:
-            term = coeff
-        else:
-            term = complex(coeff) if isinstance(coeff, GaussianRational) else coeff
+        term = coeff if exact else complex(coeff)
         for r, row in enumerate(exp):
             for c, e in enumerate(row):
                 if e:
@@ -63,14 +55,14 @@ def fs_norm_sq_exact(p: MatrixPoly) -> Fraction:
         raise ZeroPolynomialError("norm of the zero polynomial")
     total = Fraction(0)
     for exp, coeff in p.term_dict().items():
-        if not isinstance(coeff, GaussianRational):
+        if not isinstance(coeff, Fraction):
             raise KEnergyError("exact norm requires exact coefficients")
         w = 1
         for row in exp:
             for e in row:
                 if e > 1:
                     w *= math.factorial(e)
-        total += coeff.abs_sq() / w
+        total += coeff * coeff / w
     return total
 
 

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,17 +206,70 @@ REJECTED = {
     "norm-not-a-polynomial": ("norm", "{tmp}/one_part.json"),
     "minimize-negative-step": ("minimize", "--instance", "{conic}", "--k", "1",
                                "--step", "-1", "--iters", "3"),
+    "sigma-cell-digit-string": ("energy", "--instance", "{conic}", "--k", "1",
+                                "--sigma", "{tmp}/digit_string.json"),
+    "sigma-cell-three-items": ("energy", "--instance", "{conic}", "--k", "1",
+                               "--sigma", "{tmp}/three_items.json"),
+    "sigma-cell-unknown-key": ("energy", "--instance", "{conic}", "--k", "1",
+                               "--sigma", "{tmp}/unknown_key.json"),
+    "sigma-cell-pair-list": ("energy", "--instance", "{conic}", "--k", "1",
+                             "--sigma", "{tmp}/pair_list.json"),
+    "instance-chow-not-json": ("scan", "--instance", "{tmp}/chow_not_json", "--k", "1",
+                               "--bound", "1"),
+    "instance-hyper-no-terms": ("scan", "--instance", "{tmp}/hyper_no_terms", "--k", "1",
+                                "--bound", "1"),
+    "instance-chow-imaginary": ("scan", "--instance", "{tmp}/chow_imaginary", "--k", "1",
+                                "--bound", "1"),
 }
+
+# Each sigma is det 1 if its odd cell is misread as 1+2i ("12"), 1 ([1, 0, 7]
+# and [1, 0]) or 0 ({"real": 5}), so a misread is accepted, not rejected.
+MALFORMED_SIGMAS = {
+    "digit_string.json": [["12", 0, 0], [0, {"re": "1/5", "im": "-2/5"}, 0], [0, 0, 1]],
+    "three_items.json": [[[1, 0, 7], 0, 0], [0, 1, 0], [0, 0, 1]],
+    "unknown_key.json": [[1, {"real": 5}, 0], [0, 1, 0], [0, 0, 1]],
+    "pair_list.json": [[[1, 0], 0, 0], [0, 1, 0], [0, 0, 1]],
+}
+
+
+def _broken_instances(conic_dir, tmp_path):
+    """Copies of the conic with one polynomial file replaced."""
+    chow = json.loads((Path(conic_dir) / "chow.json").read_text())
+    chow["terms"][0]["im"] = "1"
+    for name, fname, text in (("chow_not_json", "chow.json", "nope"),
+                              ("hyper_no_terms", "hyper_1.json", '{"rows": 2}'),
+                              ("chow_imaginary", "chow.json", json.dumps(chow))):
+        shutil.copytree(conic_dir, tmp_path / name)
+        (tmp_path / name / fname).write_text(text)
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_malformed_input_is_a_domain_error(capsys, conic_dir, tmp_path, case):
     (tmp_path / "not.json").write_text("[[1, 0, 0], [0, 1")
     (tmp_path / "one_part.json").write_text("[[[1], 0, 0], [0, 1, 0], [0, 0, 1]]")
+    for fname, rows in MALFORMED_SIGMAS.items():
+        (tmp_path / fname).write_text(json.dumps(rows))
+    _broken_instances(conic_dir, tmp_path)
     code, out = run_cli(capsys, *(arg.format(conic=conic_dir, tmp=tmp_path)
                                   for arg in REJECTED[case]))
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+
+
+def test_gaussian_rational_sigma_matches_its_float_copy(tmp_path, capsys, conic_dir):
+    # diag(1+i, (1-i)/2, 1) has det 1; a nonzero imaginary part makes it floating
+    cells = {
+        "exact": [{"re": "1", "im": "1"}, {"re": "1/2", "im": "-1/2"}, {"re": "1", "im": "0"}],
+        "float": [{"re": 1.0, "im": 1.0}, {"re": 0.5, "im": -0.5}, 1.0],
+    }
+    for kind, diag in cells.items():
+        sigma = tmp_path / f"{kind}.json"
+        sigma.write_text(json.dumps([[diag[i] if i == j else 0 for j in range(3)]
+                                     for i in range(3)]))
+        code, out = run_cli(capsys, "energy", "--instance", conic_dir, "--k", "1",
+                            "--sigma", str(sigma))
+        assert code == 0
+        assert '"Mk": 0.754073759181' in out
 
 
 def test_usage_error_exit_code():
