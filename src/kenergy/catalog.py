@@ -357,48 +357,37 @@ def _quadric_surface_instance():
     )
 
 
-def build_instance(name, **params):
-    """Construct a catalog instance.
+def build_instance(name):
+    """Construct a catalog instance from its name.
 
-    Accepted names: "conic", "rational_normal_curve" (keyword degree=d, or the
-    compound string "rational_normal_curve(d)"), "quadric_surface",
-    "quadric_hypersurface" (keyword dim=n, n <= 2), "user" (keyword path=dir).
-    All degree invariants are checked before returning.
+    Accepted names: "conic", "rational_normal_curve(d)" (d >= 2),
+    "quadric_surface", "quadric_hypersurface(n)" (n = 1 is the conic, n = 2
+    the quadric surface) and "user(dir)", a saved instance directory.  All
+    degree invariants are checked before returning.
     """
-    params = {k: v for k, v in params.items() if v is not None}
-    base = name.strip()
+    base, arg = name.strip(), None
     if "(" in base and base.endswith(")"):
-        head, arg = base[:-1].split("(", 1)
-        base = head.strip()
-        if base == "user":
-            params.setdefault("path", arg.strip())
-        else:
-            try:
-                params.setdefault("degree" if "curve" in base else "dim", int(arg))
-            except ValueError as exc:
-                raise InvalidInstanceError(f"'{name}': expected an integer in parentheses") from exc
-    if base == "conic":
-        instance = _conic_instance()
-    elif base == "rational_normal_curve":
-        d = int(params.get("degree", 0))
-        if d < 2:
-            raise InvalidInstanceError("rational_normal_curve needs degree >= 2")
-        instance = _rational_normal_curve_instance(d)
-    elif base == "quadric_surface":
-        instance = _quadric_surface_instance()
-    elif base == "quadric_hypersurface":
-        n = int(params.get("dim", 0))
-        if n == 1:
-            instance = _conic_instance()
-        elif n == 2:
-            instance = _quadric_surface_instance()
+        base, arg = (part.strip() for part in base[:-1].split("(", 1))
+    if base == "user" and arg is not None:
+        return load_instance(arg)
+    if arg is None and base in ("conic", "quadric_surface"):
+        instance = _conic_instance() if base == "conic" else _quadric_surface_instance()
+    elif arg is not None and base in ("rational_normal_curve", "quadric_hypersurface"):
+        try:
+            m = int(arg)
+        except ValueError as exc:
+            raise InvalidInstanceError(f"'{name}': expected an integer in parentheses") from exc
+        if base == "rational_normal_curve":
+            if m < 2:
+                raise InvalidInstanceError("rational_normal_curve needs degree >= 2")
+            instance = _rational_normal_curve_instance(m)
+        elif m in (1, 2):
+            instance = _conic_instance() if m == 1 else _quadric_surface_instance()
         else:
             raise InvalidInstanceError(
                 "quadric_hypersurface is cataloged for dim <= 2 only; intermediate "
                 "hyperdiscriminant formats of higher quadrics have no closed form here"
             )
-    elif base == "user":
-        return load_instance(params["path"])
     else:
         raise InvalidInstanceError(f"unknown catalog name '{name}'")
     validate_instance(instance)

@@ -20,7 +20,6 @@ from . import catalog as cat
 from . import chern
 from . import energy as energy_mod
 from . import invariants as inv
-from . import numeric as num
 from .errors import KEnergyError
 from .exactpoly import MatrixPoly
 from .pairing import (
@@ -145,13 +144,13 @@ def cmd_catalog(args):
         emit({"config": {"subcommand": "catalog", "action": "list"},
               "result": {"names": list(cat.CATALOG_NAMES)}}, args.format)
         return 0
-    instance = cat.build_instance(args.name, degree=args.degree, dim=args.dim)
+    instance = cat.build_instance(args.name)
     cat.save_instance(instance, args.out)
     degs = inv.degree_vector(instance.data, instance.n - instance.data.delta)
     emit(
         {
             "config": {"subcommand": "catalog", "action": "build", "name": args.name,
-                       "degree": args.degree, "dim": args.dim, "out": args.out},
+                       "out": args.out},
             "result": {
                 "name": instance.name,
                 "n": instance.n,
@@ -324,6 +323,8 @@ def cmd_scan(args):
 
 
 def cmd_numeric(args):
+    from . import numeric as num  # scipy, for expm: only this subcommand pays its import
+
     instance = cat.load_instance(args.instance)
     spec = num.QuadratureSpec()
     config = {"subcommand": "numeric", "instance": args.instance,
@@ -436,8 +437,6 @@ def build_parser():
     )
     p.add_argument("action", choices=("build", "list"))
     p.add_argument("name", nargs="?", default="")
-    p.add_argument("--degree", type=int, default=None, help="rational normal curve degree")
-    p.add_argument("--dim", type=int, default=None, help="quadric hypersurface dimension")
     p.add_argument("--out", default="instance_out")
 
     p = add(

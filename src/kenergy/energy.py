@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .catalog import VarietyInstance
 from .chern import comb
@@ -230,6 +229,8 @@ def sl_basis(size):
 def random_sl(size, rng, scale=0.3):
     """exp of a seeded traceless complex matrix with Gaussian entries of the
     given scale (a numpy array; det 1 up to rounding)."""
+    from scipy.linalg import expm  # imported where called: scipy is slow to load
+
     xi = scale * (rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
     xi -= np.trace(xi) / size * np.eye(size)
     return expm(xi)
@@ -260,6 +261,8 @@ def minimize_energy(instance, k, sigma0, max_iters=100, step=0.5, tol=1e-8):
     energy moment per step (one substitution per stored polynomial); the
     trace of energies is nonincreasing by construction.
     """
+    from scipy.linalg import expm  # imported where called: scipy is slow to load
+
     _check_admissible(instance, k)
     if not (math.isfinite(step) and step > 0) or max_iters < 0:
         raise KEnergyError(f"descent needs a positive finite step and max_iters >= 0, "

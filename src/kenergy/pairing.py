@@ -211,6 +211,12 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
 # ---------------------------------------------------------------------------
 
 
+def column_degrees(p: MatrixPoly) -> np.ndarray:
+    """The distinct column-degree vectors of p's terms, one int64 row each."""
+    exps = np.array(list(p.term_dict()), dtype=np.int64).reshape(-1, *p.shape)
+    return np.unique(exps.sum(axis=1), axis=0)
+
+
 def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
     """Minimum over terms of <column-degree vector, weights> (the |t| -> 0 slope)."""
     if p.is_zero:
@@ -220,10 +226,5 @@ def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
         raise ShapeMismatchError(
             f"one-parameter subgroup has {len(weights)} weights for {p.shape[1]} columns"
         )
-    best = None
-    for exp in p.term_dict():
-        w = sum(d * a for d, a in zip(column_degree(exp), weights))
-        if best is None or w < best:
-            best = w
-    return best
-
+    # object entries keep exact Python integers: user weights may exceed int64
+    return int((column_degrees(p) @ np.array(weights, dtype=object)).min())

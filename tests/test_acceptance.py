@@ -64,7 +64,7 @@ def test_criterion_02_degree_oracles(quadric_surface):
 def test_criterion_03_build_consistency(conic, twisted_cubic, quadric_surface):
     start = time.time()
     instances = (conic, twisted_cubic, quadric_surface,
-                 build_instance("rational_normal_curve", degree=4))
+                 build_instance("rational_normal_curve(4)"))
     for instance in instances:
         data = instance.data
         assert instance.discriminants.chow.homogeneous_degree() == \
@@ -93,7 +93,7 @@ def test_criterion_04_pair_identity(conic, twisted_cubic, quadric_surface):
     start = time.time()
     lookup = {"conic": conic, "rational_normal_curve(3)": twisted_cubic,
               "quadric_surface": quadric_surface,
-              "rational_normal_curve(4)": build_instance("rational_normal_curve", degree=4)}
+              "rational_normal_curve(4)": build_instance("rational_normal_curve(4)")}
     for name, k, c in PAIR_IDENTITY_CASES:
         instance = lookup[name]
         # exact integers: the exponent of each Delta_i in v_k minus that in w_k
@@ -195,7 +195,7 @@ def test_criterion_08_path_independence(conic):
 
 def test_criterion_09_mu_and_gauss_bonnet(conic, twisted_cubic):
     start = time.time()
-    quartic = build_instance("rational_normal_curve", degree=4)
+    quartic = build_instance("rational_normal_curve(4)")
     for instance, want in ((conic, 1.0), (twisted_cubic, 2 / 3), (quartic, 0.5)):
         mu = mu_quadrature(instance, QuadratureSpec(radial=160, angular=16))
         assert abs(mu.mu1 - want) < 1e-5

@@ -154,6 +154,24 @@ def test_scan_trivial_bound(conic):
     assert not report.destabilizer_found
 
 
+@pytest.mark.parametrize("name,k,bound", [
+    ("conic", 1, 3),
+    ("twisted_cubic", 1, 2),
+    ("quadric_surface", 1, 3),
+    ("quadric_surface", 2, 3),
+])
+def test_scan_matches_brute_force_oracle(name, k, bound, request):
+    instance = request.getfixturevalue(name)
+    vectors = weight_vectors(instance.N + 1, bound)
+    slopes = [brute_force_slope(instance, k, vec) for vec in vectors]
+    report = stability_scan(instance, k, bound)
+    assert report.max_slope == max(slopes)
+    # the first maximum in lexicographic order
+    assert report.worst.weights == vectors[slopes.index(max(slopes))]
+    assert report.n_evaluated == len(vectors)
+    assert report.destabilizer_found == (max(slopes) > 0)
+
+
 def test_scan_verdict_names_the_coordinate_torus(quadric_surface):
     # M_2 on the quadric is unbounded along conjugates of the coordinate torus,
     # so an unscoped "no destabilizer" would be false

@@ -261,7 +261,7 @@ def test_chow_vanishing_iff_common_root_oracle(conic, twisted_cubic):
 
 
 def test_rational_normal_curve_degree_five():
-    inst = build_instance("rational_normal_curve", degree=5)
+    inst = build_instance("rational_normal_curve(5)")
     assert inst.discriminants.chow.homogeneous_degree() == 10
     assert inst.discriminants.hyper[1].homogeneous_degree() == 8
     assert inst.discriminants.hyper[1].num_terms() == 59
@@ -289,7 +289,7 @@ def test_conic_tangency_characterization(conic):
 
 
 def test_build_time_degree_invariants(conic, twisted_cubic, quadric_surface):
-    for instance in (conic, twisted_cubic, quadric_surface, build_instance("rational_normal_curve", degree=4)):
+    for instance in (conic, twisted_cubic, quadric_surface, build_instance("rational_normal_curve(4)")):
         data = instance.data
         assert instance.discriminants.chow.homogeneous_degree() == hyperdiscriminant_degree(data, 0)
         for i, poly in instance.discriminants.hyper.items():
@@ -302,10 +302,10 @@ def test_quadric_surface_stores_hyperdet(quadric_surface):
 
 
 def test_quadric_hypersurface_aliases():
-    assert build_instance("quadric_hypersurface", dim=1).name == "conic"
+    assert build_instance("quadric_hypersurface(1)").name == "conic"
     assert build_instance("quadric_hypersurface(2)").name == "quadric_surface"
     with pytest.raises(InvalidInstanceError):
-        build_instance("quadric_hypersurface", dim=3)
+        build_instance("quadric_hypersurface(3)")
 
 
 def test_normalize_scaling_fixed_points(conic):

@@ -1,14 +1,23 @@
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kenergy.catalog import load_instance
+from kenergy.catalog import (
+    DiscriminantSet,
+    VarietyInstance,
+    load_instance,
+    save_instance,
+    validate_instance,
+)
 from kenergy.cli import build_parser, main
 from kenergy.energy import energy_via_formula, minimize_energy, random_sl, sl_basis
+from kenergy.exactpoly import MatrixPoly
 from kenergy.pairing import GroupElement
 
 
@@ -34,6 +43,48 @@ def conic_dir(tmp_path_factory):
     code = main(["catalog", "build", "conic", "--out", str(root / "conic")])
     assert code == 0
     return str(root / "conic")
+
+
+@pytest.fixture(scope="module")
+def destabilized_dir(tmp_path_factory, conic_dir):
+    """The conic's numbers with Chow form x00^2 x11^2 and hyper_1 = x1^2, so
+    A_1 = -2 w(x00^2 x11^2) + 4 w(x1^2) = 4 (a_1 - a_0) along (a_0, a_1, a_2)."""
+    conic = load_instance(conic_dir)
+    x = lambda rows, r, c: MatrixPoly.variable((rows, 3), r, c)  # noqa: E731
+    instance = VarietyInstance(
+        name="destabilized",
+        data=conic.data,
+        parametrization=conic.parametrization,
+        discriminants=DiscriminantSet(chow=x(2, 0, 0) ** 2 * x(2, 1, 1) ** 2,
+                                      hyper={1: x(1, 0, 1) ** 2}),
+    )
+    assert validate_instance(instance)
+    out = tmp_path_factory.mktemp("destabilized") / "inst"
+    save_instance(instance, str(out))
+    return str(out)
+
+
+@pytest.mark.parametrize("bound,slope,worst", [
+    (1, 8, [-1, 1, 0]),
+    (2, 16, [-2, 2, 0]),
+    (3, 24, [-3, 3, 0]),
+])
+def test_scan_reports_a_destabilizer(capsys, destabilized_dir, bound, slope, worst):
+    code, out = run_cli(capsys, "scan", "--instance", destabilized_dir, "--k", "1",
+                        "--bound", str(bound))
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["maxSlope"] == slope
+    assert result["worstLambda"] == worst
+    assert result["destabilizerFound"] is True
+    assert result["verdict"] == f"destabilizer found on the coordinate torus at bound {bound}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy takes about 0.3 s to import; only `numeric` and the descent need it
+    probe = "import sys, kenergy.cli; sys.exit('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], timeout=60)  # inherits PYTHONPATH
+    assert done.returncode == 0
 
 
 def test_catalog_build_then_energy_identity(tmp_path, capsys, conic_dir):

@@ -51,7 +51,7 @@ def test_pair_degree_balance_identity(conic, twisted_cubic, quadric_surface):
     from kenergy.invariants import degree_vector
 
     for instance in (conic, twisted_cubic, quadric_surface,
-                     build_instance("rational_normal_curve", degree=4)):
+                     build_instance("rational_normal_curve(4)")):
         n = instance.n
         for k in range(1, n + 1):
             v, w = build_pair_vectors(instance, k)

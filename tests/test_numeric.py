@@ -148,7 +148,7 @@ def test_mu_quadrature_catalog_curves(conic, twisted_cubic):
     from kenergy.catalog import build_instance
 
     for instance, want in ((conic, 1.0), (twisted_cubic, 2.0 / 3.0),
-                           (build_instance("rational_normal_curve", degree=4), 0.5)):
+                           (build_instance("rational_normal_curve(4)"), 0.5)):
         report = mu_quadrature(instance, FAST)
         assert abs(report.mu1 - want) < 1e-5
         assert abs(report.volume - instance.data.d) < 1e-5

@@ -98,6 +98,14 @@ def test_min_weight_examples(conic_disc):
     assert min_weight(OneParamSubgroup((0, 0, 0)), conic_disc) == 0
 
 
+def test_min_weight_is_exact_beyond_int64(conic):
+    # column degrees (1,2,1) and (2,0,2): weights -5e18 and 1e19 (past int64)
+    lam = OneParamSubgroup((5 * 10**18, -5 * 10**18, 0))
+    assert min_weight(lam, conic.discriminants.chow) == -5 * 10**18
+    lam = OneParamSubgroup((5 * 10**19, -5 * 10**19, 0))
+    assert min_weight(lam, conic.discriminants.chow) == -5 * 10**19
+
+
 def test_min_weight_matches_log_ratio_slope(conic, conic_disc):
     # slope of LR(lambda(t), p) against log t^2 approaches the minimal weight
     lam = OneParamSubgroup((2, -1, -1))
