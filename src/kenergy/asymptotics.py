@@ -22,9 +22,9 @@ from itertools import product
 
 import numpy as np
 
-from .energy import energy_coefficients, energy_via_formula
+from .energy import combine, energy_coefficients
 from .errors import KEnergyError
-from .pairing import OneParamSubgroup, column_degrees, min_weight
+from .pairing import OneParamSubgroup, column_degrees, diagonal_log_ratio, min_weight
 
 
 def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
@@ -55,9 +55,10 @@ class SlopeReport:
 def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     """Least-squares slope of M_k(lambda(t)) against log|t|^2.
 
-    Sample magnitudes must lie in (0, 1); at least 4 are required.  Diagonal
-    substitutions are evaluated through the log-stable weighted norm, so
-    |t| = 1e-6 on degree-30 tensors does not overflow.
+    Sample magnitudes must lie in (0, 1); at least 4 are required.  Each
+    log-norm ratio is read from the column log scales a_j log t through the
+    log-stable weighted norm, with no group element formed, so t^a_j may
+    lie far outside the float range.
     """
     samples = tuple(float(t) for t in samples)
     if len(samples) < 4:
@@ -65,9 +66,10 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     check_magnitudes(samples)
     a_k = slope_integer(instance, k, lam)
     xs = np.array([2.0 * math.log(t) for t in samples])
-    ys = np.array(
-        [energy_via_formula(instance, lam.at(t), k).total for t in samples]
-    )
+    ys = np.array([
+        combine(instance, k, lambda i: diagonal_log_ratio(
+            instance.polynomial(i), [a * math.log(t) for a in lam.weights])).total
+        for t in samples])
     design = np.vstack([xs, np.ones_like(xs)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
     residual = float(np.max(np.abs(ys - (slope * xs + intercept))))

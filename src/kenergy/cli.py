@@ -50,15 +50,18 @@ def _canonical(obj):
 
 def emit(payload, fmt="json"):
     payload = _canonical(payload)
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    elif fmt == "pretty":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False,
+                          indent=2 if fmt == "pretty" else None)
+    except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
+        raise KEnergyError(f"the result is not finite: {exc}") from None
+    if fmt in ("json", "pretty"):
+        print(text)
     elif fmt == "csv":
         rows = payload.get("result") if isinstance(payload, dict) else None
         table = rows.get("rows") if isinstance(rows, dict) else None
         if not table:
-            print(json.dumps(payload, sort_keys=True))
+            print(text)
             return
         header = sorted(table[0])
         print(",".join(header))

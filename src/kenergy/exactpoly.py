@@ -24,12 +24,9 @@ after construction, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ShapeMismatchError
-
-Exponent = tuple  # tuple[tuple[int, ...], ...], row-major
 
 
 def as_coefficient(value):
@@ -54,7 +51,7 @@ def _term_key(exp):
 class MatrixPoly:
     """Polynomial in the entries of an m x c variable matrix (immutable)."""
 
-    __slots__ = ("shape", "_terms", "_hash")
+    __slots__ = ("shape", "_terms")
 
     def __init__(self, shape, terms=None):
         m, c = int(shape[0]), int(shape[1])
@@ -80,7 +77,6 @@ class MatrixPoly:
                 clean[exp] = coeff
         object.__setattr__(self, "shape", (m, c))
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixPoly is immutable")
@@ -141,12 +137,6 @@ class MatrixPoly:
         if not isinstance(other, MatrixPoly):
             return NotImplemented
         return self.shape == other.shape and self._terms == other._terms
-
-    def __hash__(self):
-        if self._hash is None:
-            h = hash((self.shape, tuple(sorted(self._terms.items(), key=lambda kv: _term_key(kv[0]), ))))
-            object.__setattr__(self, "_hash", h)
-        return self._hash
 
     def __repr__(self):
         if self.is_zero:
@@ -331,78 +321,54 @@ def right_substitute(poly: MatrixPoly, g) -> MatrixPoly:
     left: right_substitute(right_substitute(p, g), h) == right_substitute(p, h @ g).
     """
     m, cols = poly.shape
-    g_rows = [list(row) for row in g]
-    if len(g_rows) != cols or any(len(r) != cols for r in g_rows):
+    entries = [[as_coefficient(v) for v in row] for row in g]
+    if len(entries) != cols or any(len(r) != cols for r in entries):
         raise ShapeMismatchError(
             f"group element must be {cols}x{cols} for a polynomial on {poly.shape}"
         )
-    entries = [[as_coefficient(v) for v in row] for row in g_rows]
     if poly.is_zero:
         return poly
-
-    # Expansion of one row-monomial prod_c x_c^{e_c} under x_c -> sum_j x_j g[j][c]
-    # is independent of the row index, so it is memoized per row-exponent vector.
-    pow_cache = {}
-    row_cache = {}
-
-    def linear_power(col, e):
-        key = (col, e)
-        if key in pow_cache:
-            return pow_cache[key]
-        support = [(j, entries[j][col]) for j in range(cols) if entries[j][col]]
-        result = []
-        for alpha in _compositions(e, len(support)):
-            coeff = _multinomial(e, alpha)
-            vec = [0] * cols
-            for (j, gval), a in zip(support, alpha):
-                if a:
-                    vec[j] = a
-                    for _ in range(a):
-                        coeff = coeff * gval
-            result.append((tuple(vec), coeff))
-        pow_cache[key] = result
-        return result
-
-    def expand_row(e_row):
-        if e_row in row_cache:
-            return row_cache[e_row]
-        acc = {(0,) * cols: as_coefficient(1)}
-        for c, e in enumerate(e_row):
-            if not e:
-                continue
-            nxt = {}
-            for vec, coeff in acc.items():
-                for pvec, pcoeff in linear_power(c, e):
-                    new = tuple(a + b for a, b in zip(vec, pvec))
-                    s = nxt.get(new, 0) + coeff * pcoeff
-                    if s:
-                        nxt[new] = s
-                    else:
-                        nxt.pop(new, None)
-            acc = nxt
-        items = list(acc.items())
-        row_cache[e_row] = items
-        return items
-
     # with a floating g every product is complex; convert each coefficient once
     floating = all(isinstance(v, complex) for row in entries for v in row)
-    out = {}
-    for exp, coeff in poly._terms.items():
-        partial = [((), complex(coeff) if floating else coeff)]
-        for e_row in exp:
-            expanded = expand_row(e_row)
-            nxt = []
-            for prefix, pc in partial:
-                for vec, vc in expanded:
-                    nxt.append((prefix + (vec,), pc * vc))
-            partial = nxt
-        for full_exp, c in partial:
-            s = out.get(full_exp, 0) + c
-            if s:
-                out[full_exp] = s
-            else:
-                out.pop(full_exp, None)
+    out = {exp: complex(c) if floating else c for exp, c in poly._terms.items()}
+    # forms[c]: the linear form x_c -> sum_j g[j][c] x_j as its (j, g[j][c]) pairs
+    forms = [[(j, entries[j][c]) for j in range(cols) if entries[j][c]] for c in range(cols)]
+    unit = (0,) * cols
+    images = {unit: [(unit, 1)]}  # row monomial -> its image, shared by all rows
+    for r in range(m):
+        nxt = {}
+        for exp, coeff in out.items():
+            image = images.get(exp[r]) or _row_image(exp[r], forms, images)
+            head, tail = exp[:r], exp[r + 1:]
+            for vec, vc in image:
+                key = head + (vec,) + tail
+                s = nxt.get(key)
+                nxt[key] = coeff * vc if s is None else s + coeff * vc
+        out = {exp: c for exp, c in nxt.items() if c}
     return MatrixPoly(poly.shape, out)
+
+
+def _row_image(row, forms, images):
+    """Image of the row monomial prod_c x_c^row[c] under the linear forms.
+
+    The factors are walked in column order; each prefix monomial's image is
+    the previous prefix's image times one linear form, and every prefix is
+    memoized in `images`.
+    """
+    prefix = (0,) * len(row)
+    for c, e in enumerate(row):
+        for _ in range(e):
+            longer = prefix[:c] + (prefix[c] + 1,) + prefix[c + 1:]
+            if longer not in images:
+                acc = {}
+                for vec, coeff in images[prefix]:
+                    for j, gval in forms[c]:
+                        key = vec[:j] + (vec[j] + 1,) + vec[j + 1:]
+                        s = acc.get(key)
+                        acc[key] = coeff * gval if s is None else s + coeff * gval
+                images[longer] = [(vec, v) for vec, v in acc.items() if v]
+            prefix = longer
+    return images[prefix]
 
 
 def lie_derivative(poly: MatrixPoly, xi) -> MatrixPoly:
@@ -438,23 +404,3 @@ def lie_derivative(poly: MatrixPoly, xi) -> MatrixPoly:
                         out.pop(new_exp, None)
     return MatrixPoly(poly.shape, out)
 
-
-def _compositions(total, parts):
-    """All tuples of nonnegative ints of length `parts` summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(total, alpha):
-    out = math.factorial(total)
-    for a in alpha:
-        out //= math.factorial(a)
-    return out

@@ -6,6 +6,9 @@ evaluated in floating point with max-term factoring (a log-sum-exp), so
 one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Everything
 here is per stored polynomial; kenergy.energy combines the values with
 integer coefficients, so the tensors of the pair (v_k, w_k) are never formed.
+A log-norm ratio is computed afresh at each call, with no cache: a diagonal
+sigma through the column log scales of `diagonal_log_ratio`, any other through
+one substitution (`exactpoly.right_substitute`, one row at a time).
 
 The weight of a monomial under an integer one-parameter subgroup is the dot
 product of its column-degree vector with the weights; the asymptotic slope of
@@ -15,10 +18,10 @@ because the smallest power of |t| dominates.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +65,8 @@ class GroupElement:
         exact = all(isinstance(v, Fraction) for row in coeffs for v in row)
         if not exact:  # a floating element holds complex entries only
             coeffs = [[complex(v) for v in row] for row in coeffs]
+            if not all(cmath.isfinite(v) for row in coeffs for v in row):
+                raise KEnergyError("group element has a non-finite entry")
         if normalize and not exact:
             det = np.linalg.det(np.array(coeffs))
             if det == 0:
@@ -163,13 +168,17 @@ def log_fs_norm_sq(p: MatrixPoly, column_log_scale=None) -> float:
         raise ZeroPolynomialError("norm of the zero polynomial")
     logs = []
     for exp, coeff in p.term_dict().items():
-        sq = coeff_abs_sq(coeff)
-        if isinstance(sq, Fraction):
+        if isinstance(coeff, Fraction):
+            sq = coeff_abs_sq(coeff)
             ll = math.log(sq.numerator) - math.log(sq.denominator)
         else:
-            if sq == 0.0:
+            size = abs(coeff)  # log|c|^2 as 2 log|c|: |c|^2 overflows from |c| ~ 1e154
+            if not math.isfinite(size):
+                raise KEnergyError(f"coefficient {coeff} is not finite; give sigma exactly "
+                                   "(integer or rational strings) to use the exact lane")
+            if size == 0.0:
                 continue
-            ll = math.log(sq)
+            ll = 2.0 * math.log(size)
         ll -= _log_factorial_weight(exp)
         if column_log_scale is not None:
             ll += sum(
@@ -183,16 +192,18 @@ def log_fs_norm_sq(p: MatrixPoly, column_log_scale=None) -> float:
 
 
 def fs_norm_sq(p: MatrixPoly) -> float:
-    """Squared factorial-weighted norm as a float (overflow safe)."""
-    return math.exp(log_fs_norm_sq(p))
+    """Squared factorial-weighted norm as a float; a domain error, naming
+    the log norm, when it exceeds the float range."""
+    log_norm = log_fs_norm_sq(p)
+    try:
+        return math.exp(log_norm)
+    except OverflowError:
+        raise KEnergyError(f"squared norm exp({log_norm!r}) exceeds the float range") from None
 
 
-@lru_cache(maxsize=8192)
-def _cached_log_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
-    if sigma.is_diagonal:
-        scale = [math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)]
-        return log_fs_norm_sq(p, column_log_scale=scale) - log_fs_norm_sq(p)
-    return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
+def diagonal_log_ratio(p: MatrixPoly, column_log_scale) -> float:
+    """log ( |t . p|^2 / |p|^2 ) for the diagonal t with log|t_c| given per column."""
+    return log_fs_norm_sq(p, column_log_scale) - log_fs_norm_sq(p)
 
 
 def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
@@ -203,7 +214,10 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
         raise ShapeMismatchError(
             f"group element of size {sigma.size} acts on {p.shape[1]} columns"
         )
-    return _cached_log_ratio(sigma, p)
+    if sigma.is_diagonal:
+        return diagonal_log_ratio(
+            p, [math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)])
+    return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,20 @@ def test_slope_fit_input_validation(conic):
         slope_fit(conic, 1, lam, [0.1, 0.2, 1.5, 0.3])
 
 
+def test_slope_fit_far_below_the_float_range_of_t_to_the_a(conic, quadric_surface):
+    # t^3 underflows and t^-3 overflows on these grids; the fit reads each
+    # ratio from the log scales a_j log t instead of forming lambda(t)
+    conic_grid = [10.0 ** -e for e in (2, 76, 151, 225, 300)]
+    report = slope_fit(conic, 1, OneParamSubgroup((3, 0, -3)), conic_grid)
+    assert report.fit_slope == report.a_k == 0
+    quadric_grid = [10.0 ** -e for e in (2, 61, 121, 180, 240, 300)]
+    report = slope_fit(quadric_surface, 2, OneParamSubgroup((-3, 1, 1, 1)), quadric_grid)
+    assert report.a_k == -8
+    assert abs(report.fit_slope + 8) < 1e-9
+    report = slope_fit(conic, 1, OneParamSubgroup((1, 0, -1)), [1e-1, 1e-100, 1e-200, 1e-320])
+    assert report.fit_slope == report.a_k == 0
+
+
 def test_diagonal_consistency_sweep(conic, twisted_cubic, quadric_surface):
     # fit agrees with the integer slope within 1% on every catalog instance
     # and admissible k, over a couple of subgroups each

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import kenergy.cli
 from kenergy.catalog import (
     DiscriminantSet,
     VarietyInstance,
@@ -305,6 +306,41 @@ def test_malformed_input_is_a_domain_error(capsys, conic_dir, tmp_path, case):
                                   for arg in REJECTED[case]))
     assert code == 1
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("cells", [
+    [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[float("inf"), 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[1, float("nan"), 0], [0, 1, 0], [0, 0, 1]],
+])
+def test_non_finite_sigma_is_a_domain_error(capsys, conic_dir, tmp_path, cells):
+    # Python's json reads NaN and Infinity; det - 1 is then NaN, which no
+    # tolerance comparison rejects
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(cells))
+    code, out = run_cli(capsys, "energy", "--instance", conic_dir, "--k", "1",
+                        "--sigma", str(sigma))
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_result_is_a_domain_error(capsys, conic_dir, monkeypatch, fmt, value):
+    monkeypatch.setattr(kenergy.cli, "fs_norm_sq", lambda poly: value)
+    code, out = run_cli(capsys, "--format", fmt, "norm", f"{conic_dir}/hyper_1.json")
+    assert code == 1
+    assert set(json.loads(out)) == {"error"}
+
+
+def test_norm_beyond_the_float_range_is_a_domain_error(capsys, tmp_path):
+    poly = tmp_path / "big.json"
+    poly.write_text(json.dumps({"rows": 1, "cols": 3, "terms": [
+        {"exp": [[1, 1, 0]], "re": "1" + "0" * 200, "im": "0"}]}))
+    code, out = run_cli(capsys, "norm", str(poly))
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert "exp(921.03403719" in message  # the log norm, 400 log 10
 
 
 def test_gaussian_rational_sigma_matches_its_float_copy(tmp_path, capsys, conic_dir):

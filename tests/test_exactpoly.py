@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from kenergy.catalog import build_instance
 from kenergy.errors import ShapeMismatchError
 from kenergy.exactpoly import (
     MatrixPoly,
@@ -12,7 +13,7 @@ from kenergy.exactpoly import (
     right_substitute,
 )
 
-from conftest import random_exact_poly, seeded
+from conftest import random_exact_poly, random_rational_sl, seeded
 from oracles import evaluate
 
 SHAPE = (1, 3)
@@ -156,6 +157,73 @@ def test_evaluate_compatible_with_substitution():
             for r in range(2)
         ]
         assert evaluate(right_substitute(p, g), a) == evaluate(p, ag)
+
+
+def _float_matrix(rng, rows, cols):
+    return [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _times(a, g):
+    return [[sum(a[r][m] * g[m][c] for m in range(len(g))) for c in range(len(g[0]))]
+            for r in range(len(a))]
+
+
+def test_float_substitution_matches_evaluation():
+    # random inhomogeneous polynomials on 2 x 3 variables at complex g
+    rng = seeded(17)
+    for _ in range(10):
+        p = random_exact_poly((2, 3), rng, max_terms=6, max_exp=3)
+        if p.is_zero:
+            continue
+        g, a = _float_matrix(rng, 3, 3), _float_matrix(rng, 2, 3)
+        want = evaluate(p, _times(a, g))
+        got = evaluate(right_substitute(p, g), a)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_substitution_by_a_singular_matrix():
+    # column 1 of g is zero, so x_1 maps to 0 and every term holding it vanishes
+    rng = seeded(19)
+    exact = [[Fraction(1, 2), 0, 3], [2, 0, Fraction(-1, 3)], [1, 0, 1]]
+    floating = [[complex(v) for v in row] for row in exact]
+    for _ in range(10):
+        p = random_exact_poly((2, 3), rng, max_terms=6)
+        if p.is_zero:
+            continue
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+             for _ in range(2)]
+        assert evaluate(right_substitute(p, exact), a) == evaluate(p, _times(a, exact))
+        want = complex(evaluate(p, _times(a, exact)))
+        got = evaluate(right_substitute(p, floating), a)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_substitution_is_an_action_on_the_quadric_chow_form(quadric_surface):
+    chow = quadric_surface.discriminants.chow
+    assert chow.shape[0] == 3
+    rng = seeded(23)
+    for _ in range(2):
+        g = [list(row) for row in random_rational_sl(4, rng).entries]
+        h = [list(row) for row in random_rational_sl(4, rng).entries]
+        lhs = right_substitute(right_substitute(chow, g), h)
+        assert lhs == right_substitute(chow, _times(h, g))
+
+
+@pytest.mark.parametrize("name", ["conic", "rational_normal_curve(3)",
+                                  "rational_normal_curve(4)", "quadric_surface"])
+def test_exact_and_floating_lanes_agree_term_by_term(name):
+    instance = build_instance(name)
+    sigma = random_rational_sl(instance.N + 1, seeded(29))
+    floating = [[complex(v) for v in row] for row in sigma.entries]
+    for i in range(instance.n + 1):
+        exact = right_substitute(instance.polynomial(i), sigma.entries).term_dict()
+        approx = right_substitute(instance.polynomial(i), floating).term_dict()
+        # the supports agree up to rounding residues where the exact lane cancels
+        assert set(exact) <= set(approx)
+        scale = max(abs(c) for c in exact.values())
+        assert all(abs(c - complex(exact.get(e, 0))) <= 1e-12 * scale
+                   for e, c in approx.items())
 
 
 def test_ring_axioms_seeded():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kenergy.catalog import build_instance
+from kenergy.energy import energy_via_formula
 from kenergy.errors import KEnergyError, ZeroPolynomialError
 from kenergy.exactpoly import MatrixPoly, right_substitute
 from kenergy.pairing import (
@@ -213,3 +215,32 @@ def test_group_element_accepts_large_det_one_floats():
                 GroupElement.from_matrix(sigma * 2.0 ** (1.0 / size))
     with pytest.raises(KEnergyError):
         GroupElement.from_matrix(np.diag([2.0, 1.0, 1.0]))
+
+
+def test_float_lane_at_large_det_one_entries():
+    # coefficients of the substituted Chow form reach ~1e160, whose squares
+    # overflow; the float lane reads log|c|^2 as 2 log|c| and agrees with the
+    # exact lane, until a coefficient itself overflows at 1e80
+    rnc4 = build_instance("rational_normal_curve(4)")
+
+    def sigma(big, small):
+        rows = [[int(i == j) for j in range(5)] for i in range(5)]
+        rows[0][0], rows[1][0], rows[1][1] = big, 1, small
+        return rows
+
+    exact = energy_via_formula(
+        rnc4, GroupElement.from_matrix(sigma(10**40, Fraction(1, 10**40))), 1).total
+    floating = energy_via_formula(
+        rnc4, GroupElement.from_matrix(sigma(1e40, 1e-40)), 1).total
+    assert abs(floating - exact) <= 1e-9 * abs(exact)
+    with pytest.raises(KEnergyError, match="exact lane"):
+        energy_via_formula(rnc4, GroupElement.from_matrix(sigma(1e80, 1e-80)), 1)
+
+
+@pytest.mark.parametrize("cell", [float("nan"), float("inf"), complex(1, float("nan"))])
+def test_group_element_rejects_non_finite_entries(cell):
+    rows = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]
+    rows[0][1] = cell
+    for normalize in (False, True):
+        with pytest.raises(KEnergyError, match="non-finite"):
+            GroupElement.from_matrix(rows, normalize=normalize)
