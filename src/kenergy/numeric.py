@@ -11,7 +11,12 @@ out integral):
 
 Surface integration works in log-polar coordinates w = u + i theta = log z per
 chart (|z| <= 1 in the affine chart, |w| <= 1 in the chart at infinity), with
-Gauss-Legendre nodes in u and a trapezoidal angular rule.  With U = sigma T,
+Gauss-Legendre nodes in u and a trapezoidal angular rule.  When every matrix
+that defines the metric is diagonal (a diagonal xi, a diagonal sigma or the
+identity), |S T(z)|^2 = sum |S_ii|^2 |z|^(2 p_i) depends on |z| alone, every
+density is constant in theta, and the angular rule is exact at one node; only
+a non-diagonal xi or sigma uses QuadratureSpec.angular nodes.  Both charts
+share one grid per call.  With U = sigma T,
 U' = dU/dw = sigma diag(p) T and U'' = sigma diag(p^2) T for T_i = z^{p_i},
 the Pluecker identities for associated curves give both densities against
 du dtheta in closed form:
@@ -71,7 +76,11 @@ def curve_charts(instance: VarietyInstance):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and the radial cutoff for the curve quadrature."""
+    """Node counts and the radial cutoff for the curve quadrature.
+
+    angular is used only when xi or sigma is not diagonal: a diagonal metric
+    is invariant under z -> e^{i alpha} z, so one angular node is exact.
+    """
 
     radial: int = 160
     angular: int = 64
@@ -106,6 +115,7 @@ def metric_density_log(chart: CurveChart, S, u, theta):
 
 
 def _log_polar_grid(u_min, radial, angular):
+    """(z, weights) at the nodes z = exp(u + i theta) of one chart."""
     xu, wu = leggauss(radial)
     u = 0.5 * (xu + 1.0) * (0.0 - u_min) + u_min
     wu = wu * 0.5 * (0.0 - u_min)
@@ -113,16 +123,25 @@ def _log_polar_grid(u_min, radial, angular):
     wtheta = np.full(angular, 2.0 * math.pi / angular)
     uu, tt = np.meshgrid(u, theta, indexing="ij")
     ww = np.outer(wu, wtheta)
-    return uu.ravel(), tt.ravel(), ww.ravel()
+    return np.exp(uu.ravel() + 1j * tt.ravel()), ww.ravel()
+
+
+def _angular_nodes(spec, S):
+    """1 when S is diagonal, spec.angular otherwise.
+
+    A diagonal S gives |S T(z)|^2 = sum |S_ii|^2 |z|^(2 p_i), a function of |z|
+    alone, so every density is constant in theta and one node is exact.
+    """
+    return 1 if np.count_nonzero(S - np.diag(np.diagonal(S))) == 0 else spec.angular
 
 
 _BLOCK = 4096  # grid points per evaluation, so the temporaries stay small
 
 
-def _chart_blocks(chart, u_min, radial, angular):
-    """[(T, weights)] on the chart's log-polar grid, in blocks of _BLOCK points."""
-    u, theta, w = _log_polar_grid(u_min, radial, angular)
-    T = chart.sections(np.exp(u + 1j * theta))
+def _chart_blocks(chart, grid):
+    """[(T, weights)] on the log-polar grid, in blocks of _BLOCK points."""
+    z, w = grid
+    T = chart.sections(z)
     return [(T[:, s:s + _BLOCK], w[s:s + _BLOCK]) for s in range(0, w.size, _BLOCK)]
 
 
@@ -155,9 +174,22 @@ def _plucker_fields(S, powers, T, gradient=False):
     return U, nU, h, ddbar, d_log
 
 
+# Largest eigenvalue spread of xi at which the densities can stay finite.  At
+# the radial cutoff u_min = -(spread + 25) of the default spec the identity's
+# |U ^ U'|^2 ~ e^{2 u_min} squares to 0 beyond a spread of 161.1, so the c_1
+# density is 0/0 there on every curve, along every direction.  Some directions
+# fail sooner (at 96.8 along (2, -1, -1) on the conic, 80.7 along
+# (1, 1, -1, -1) on RNC(3)); those integrals end as a non-finite result.
+_MAX_SPREAD = 161.0
+
+
 def _auto_u_min(spec: QuadratureSpec, xi):
     eig = np.linalg.eigvals(np.asarray(xi, dtype=complex))
     spread = float(np.max(eig.real) - np.min(eig.real))
+    if spread > _MAX_SPREAD:
+        raise KEnergyError(
+            f"path generator eigenvalue spread {spread:.6g} exceeds {_MAX_SPREAD:g}, "
+            "beyond which the quadrature densities are not finite")
     return min(spec.u_min, -(spread + 25.0))
 
 
@@ -165,14 +197,20 @@ def _auto_radial(spec: QuadratureSpec, u_min):
     return max(spec.radial, int(8 * abs(u_min)))
 
 
+def _require_finite(M, what):
+    if not np.all(np.isfinite(M)):
+        raise KEnergyError(f"{what} has a non-finite entry")
+
+
 def volume_and_chern(instance, sigma=None, spec=QuadratureSpec()):
     """(integral omega, integral c_1) over the curve for the metric of sigma."""
     S = np.eye(instance.N + 1, dtype=complex) if sigma is None else _sigma_matrix(sigma)
-    radial = _auto_radial(spec, spec.u_min)
+    _require_finite(S, "sigma")
+    grid = _log_polar_grid(spec.u_min, _auto_radial(spec, spec.u_min), _angular_nodes(spec, S))
     vol = 0.0
     chern = 0.0
     for chart in curve_charts(instance):
-        for T, w in _chart_blocks(chart, spec.u_min, radial, spec.angular):
+        for T, w in _chart_blocks(chart, grid):
             _, _, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
             vol += float(np.sum(w * h)) / math.pi
             chern -= float(np.sum(w * ddbar)) / math.pi
@@ -213,10 +251,11 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
     size = instance.N + 1
     if xi.shape != (size, size):
         raise KEnergyError(f"path generator must be {size}x{size}, got shape {xi.shape}")
+    _require_finite(xi, "path generator")
     if abs(np.trace(xi)) > 1e-9:
         raise KEnergyError("path generator must be traceless")
     u_min = _auto_u_min(spec, xi)
-    radial = _auto_radial(spec, u_min)
+    grid = _log_polar_grid(u_min, _auto_radial(spec, u_min), _angular_nodes(spec, xi))
     xt, wt = leggauss(spec.path_nodes)
     taus = 0.5 * (xt + 1.0)
     wtaus = 0.5 * wt
@@ -224,14 +263,17 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
     mu1 = float(instance.data.mu[1])
     vol = float(instance.data.d)
     herm = xi + xi.conj().T
+    if path == "affine":
+        ends = (np.eye(size), expm(xi))
+    else:
+        steps = [(wtau, expm(xi * tau)) for tau, wtau in zip(taus, wtaus)]
     total = 0.0
     for chart in curve_charts(instance):
-        blocks = _chart_blocks(chart, u_min, radial, spec.angular)
+        blocks = _chart_blocks(chart, grid)
         if path == "affine":
             # h_tau = (1 - tau) htilde_0 + tau htilde_1 with D = dd-bar and
             # d = d_w: D log h_tau = D h_tau / h_tau - |d h_tau|^2 / h_tau^2,
             # where D htilde = htilde (D log htilde + |d log htilde|^2).
-            ends = (np.eye(size), expm(xi))
             for T, w in blocks:
                 (_, nT, h0, L0, g0), (_, n1, h1, L1, g1) = (
                     _plucker_fields(S, chart.powers, T, gradient=True) for S in ends)
@@ -244,8 +286,7 @@ def energy_quadrature(instance, xi, spec=QuadratureSpec(), path="exponential"):
                     ddbar = ((1 - tau) * D0 + tau * D1) / h - (dh.real**2 + dh.imag**2) / h**2
                     total -= wtau * float(np.sum(w * phidot * (ddbar + mu1 * h))) / math.pi
             continue
-        for tau, wtau in zip(taus, wtaus):
-            S = expm(xi * tau)
+        for wtau, S in steps:
             for T, w in blocks:
                 U, nU, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
                 phidot = np.einsum("im,im->m", herm @ U, U.conj()).real / nU

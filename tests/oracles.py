@@ -13,6 +13,8 @@ route, and is used only by tests:
   z-derivative of the sections by the Lagrange identity, and its curvature by
   a finite-difference Laplacian in z, for the closed-form Pluecker densities
   of `kenergy.numeric`.
+- `toric_energy`: the k = 1 energy along a diagonal path as a 1-D integral in
+  log|z| from softmax cumulants, for `kenergy.numeric.energy_quadrature`.
 """
 
 import math
@@ -138,3 +140,41 @@ def chern1_density(chart, sigma, z, step=None):
             - logh(z - 2 * d)
         ) / (12 * step * step)
     return -lap / (4 * math.pi)
+
+
+
+def toric_energy(powers, x, mu1, degree):
+    """The k = 1 energy of a curve along the diagonal path sigma_t = exp(t diag(x)).
+
+    A diagonal metric depends on u = log|z| only:
+    psi_t(u) = log sum_i exp(2 t x_i + 2 p_i u), and the energy is
+    degree * int_0^1 dt int du phidot [(log psi'')'' + mu1 psi''], with
+    phidot = d psi_t / dt.  The u-derivatives are the cumulants of q = 2p
+    under the softmax weights of the exponents, so no Pluecker identity enters;
+    both integrals are adaptive (scipy.integrate.quad) over a finite u-range
+    that the tails of the integrand do not reach.
+    """
+    from scipy.integrate import quad
+
+    q = [2.0 * p for p in powers]
+    x = [float(v) for v in x]
+    reach = 20.0 + max(x) - min(x)
+
+    def integrand(u, t):
+        a = [2.0 * t * xi + qi * u for xi, qi in zip(x, q)]
+        top = max(a)
+        w = [math.exp(ai - top) for ai in a]
+        total = math.fsum(w)
+        w = [wi / total for wi in w]
+        mean = math.fsum(wi * qi for wi, qi in zip(w, q))
+        c = [qi - mean for qi in q]
+        k2 = math.fsum(wi * ci**2 for wi, ci in zip(w, c))
+        k3 = math.fsum(wi * ci**3 for wi, ci in zip(w, c))
+        k4 = math.fsum(wi * ci**4 for wi, ci in zip(w, c)) - 3.0 * k2 * k2
+        phidot = 2.0 * math.fsum(wi * xi for wi, xi in zip(w, x))
+        return phidot * (k4 / k2 - (k3 / k2) ** 2 + mu1 * k2)
+
+    def slice_at(t):
+        return quad(integrand, -reach, reach, args=(t,), limit=200, epsabs=1e-10, epsrel=1e-11)[0]
+
+    return degree * quad(slice_at, 0.0, 1.0, limit=50, epsabs=1e-10, epsrel=1e-11)[0]

@@ -244,6 +244,11 @@ REJECTED = {
                              "--xi", "2,x,-1"),
     "path-xi-not-a-number": ("numeric", "--instance", "{conic}", "--check", "path",
                              "--xi", "2,x,-1"),
+    "path-xi-nan": ("numeric", "--instance", "{conic}", "--check", "path", "--xi=nan,0,0"),
+    "path-xi-spread-too-large": ("numeric", "--instance", "{conic}", "--check", "path",
+                                 "--xi=300,0,-300"),
+    "slope-samples-spread-too-large": ("numeric", "--instance", "{conic}", "--check", "slope",
+                                       "--xi=2,-1,-1", "--samples", "1e-1:1e-100:3"),
     "degrees-mu-not-a-fraction": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
                                   "--mu", "1,x", "--k", "1"),
     "degrees-mu-zero-denominator": ("degrees", "--n", "1", "--N", "2", "--deg", "2",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from kenergy import numeric
 from kenergy.energy import random_sl
 from kenergy.errors import KEnergyError
 from kenergy.numeric import (
@@ -20,7 +21,7 @@ from kenergy.numeric import (
     volume_and_chern,
 )
 
-from oracles import bergman_metric, chern1_density
+from oracles import bergman_metric, chern1_density, toric_energy
 
 FAST = QuadratureSpec(radial=96, angular=16, path_nodes=16)
 
@@ -179,6 +180,60 @@ def test_energy_quadrature_rejects_bad_input(conic):
         energy_quadrature(conic, np.diag([1.0, -1.0]), FAST)
     with pytest.raises(KEnergyError):
         energy_quadrature(conic, np.zeros((3, 3)), FAST, path="quadratic")
+
+
+def test_energy_quadrature_rejects_non_finite_input(conic):
+    for xi in (np.diag([np.nan, 0.0, 0.0]), np.diag([np.inf, 0.0, -np.inf])):
+        with pytest.raises(KEnergyError, match="non-finite"):
+            energy_quadrature(conic, xi)
+    with pytest.raises(KEnergyError, match="non-finite"):
+        volume_and_chern(conic, np.diag([np.nan, 1.0, 1.0]))
+
+
+def test_eigenvalue_spread_bound(conic, monkeypatch):
+    # rejected before any node is built: 1e3 would ask for 8 * 2025 radial nodes
+    for a in (300.0, 1e3):
+        with pytest.raises(KEnergyError, match=f"spread {2 * a:g} exceeds 161"):
+            energy_quadrature(conic, np.diag([a, 0.0, -a]))
+    # along (-1, 2, -1) the densities stay finite up to the bound, and past it
+    # the identity's density at the radial cutoff is 0/0
+    direction = np.diag([-1.0, 2.0, -1.0]) / 3.0
+    assert math.isfinite(energy_quadrature(conic, 160.0 * direction))
+    monkeypatch.setattr(numeric, "_MAX_SPREAD", math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert not math.isfinite(energy_quadrature(conic, 162.0 * direction))
+
+
+def test_diagonal_densities_do_not_depend_on_the_angle(conic, twisted_cubic):
+    # the fact behind the one-node angular rule for diagonal xi and sigma
+    rng = np.random.default_rng(19)
+    theta = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+    for instance in (conic, twisted_cubic):
+        size = instance.N + 1
+        S = np.diag(np.exp(rng.standard_normal(size) + 1j * rng.standard_normal(size)))
+        for chart in curve_charts(instance):
+            for r in (1e-3, 0.3, 1.0):
+                T = chart.sections(r * np.exp(1j * theta))
+                _, _, h, ddbar, _ = _plucker_fields(S, chart.powers, T)
+                assert np.max(np.abs(h / h[0] - 1.0)) < 1e-13
+                assert np.max(np.abs(ddbar / ddbar[0] - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("fixture,weights,t", [
+    ("conic", (2, -1, -1), 1e-1),
+    ("conic", (2, -1, -1), 1e-4),
+    ("twisted_cubic", (1, -1, -1, 1), 1e-1),
+    ("twisted_cubic", (-1, 1, 1, -1), 1e-1),
+])
+def test_energy_quadrature_against_the_toric_oracle(request, fixture, weights, t):
+    # the default spec, as the CLI runs it; at t = 1e-4 its 24 path nodes
+    # leave about 1e-10 relative
+    instance = request.getfixturevalue(fixture)
+    x = np.array(weights, dtype=float) * math.log(t)
+    want = toric_energy([e[0] for e in instance.parametrization], x,
+                        float(instance.data.mu[1]), instance.data.d)
+    got = energy_quadrature(instance, np.diag(x))
+    assert abs(got / want - 1.0) < 1e-8
 
 
 def test_path_independence(conic):
