@@ -35,10 +35,24 @@ def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
     )
 
 
-def check_magnitudes(samples):
-    """Reject sample magnitudes |t| outside (0, 1); slopes are read as |t| -> 0."""
+def fit_log_slope(samples, value):
+    """Evaluate value(t) at each sample magnitude |t| and fit a line against
+    log|t|^2: (slope, largest residual, values).
+
+    Magnitudes must lie in (0, 1), as slopes are read as |t| -> 0, and at least
+    two must differ: on one |t| the design matrix has rank 1 and lstsq would
+    return its minimum-norm answer as the slope.
+    """
     if any(not 0.0 < t < 1.0 for t in samples):
         raise KEnergyError("sample magnitudes must lie in (0, 1)")
+    if len(set(samples)) < 2:
+        raise KEnergyError("a slope fit needs at least 2 distinct sample magnitudes")
+    xs = np.array([2.0 * math.log(t) for t in samples])
+    ys = np.array([value(t) for t in samples])
+    design = np.vstack([xs, np.ones_like(xs)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
+    return float(slope), residual, tuple(float(v) for v in ys)
 
 
 @dataclass(frozen=True)
@@ -63,24 +77,18 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     samples = tuple(float(t) for t in samples)
     if len(samples) < 4:
         raise KEnergyError("slope fit needs at least 4 sample magnitudes")
-    check_magnitudes(samples)
     a_k = slope_integer(instance, k, lam)
-    xs = np.array([2.0 * math.log(t) for t in samples])
-    ys = np.array([
-        combine(instance, k, lambda i: diagonal_log_ratio(
-            instance.polynomial(i), [a * math.log(t) for a in lam.weights])).total
-        for t in samples])
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    residual = float(np.max(np.abs(ys - (slope * xs + intercept))))
+    slope, residual, values = fit_log_slope(samples, lambda t: combine(
+        instance, k, lambda i: diagonal_log_ratio(
+            instance.polynomial(i), [a * math.log(t) for a in lam.weights])).total)
     return SlopeReport(
         lam=lam,
         a_k=a_k,
-        fit_slope=float(slope),
+        fit_slope=slope,
         fit_residual=residual,
         bounded_below=a_k <= 0,
         samples=samples,
-        values=tuple(float(v) for v in ys),
+        values=values,
     )
 
 

@@ -3,13 +3,14 @@
 Every catalog entry avoids elimination machinery: dual quadrics are adjugate
 quadrics, rational-normal-curve discriminants come from Sylvester resultants,
 the quadric surface's format-1 hyperdiscriminant is Cayley's 2x2x2
-hyperdeterminant, and Chow forms of quadric hypersurfaces are the quadric
-evaluated on the generalized cross product of the frame rows.
+hyperdeterminant, its Chow form is the quadric evaluated on the generalized
+cross product of the frame rows, and the Chow form of a rational normal curve
+is the resultant of the two binary forms its frame rows restrict to.
 
 Coordinate conventions are pinned:
 
-  conic                x0*x2 = x1^2,    T(z) = (1, z, z^2)
-  rational normal d    T(z) = (1, z, ..., z^d), hyperplanes = binary forms
+  rational normal d    T(z) = (1, z, ..., z^d), hyperplanes = binary forms;
+                       the conic x0*x2 = x1^2 is d = 2
   quadric surface      x0*x3 = x1*x2,   T(u, v) = (1, u, v, u*v); the 2x4
                        variable matrix is read as a 2x2x2 tensor via
                        a[i][j][k] = x[i][2j+k]
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chern import hypersurface_mu, rational_curve_profile
@@ -102,24 +103,15 @@ def dual_quadric(Q):
     if any(Q[i][j] != Q[j][i] for i in range(m) for j in range(m)):
         raise KEnergyError("quadric matrix must be symmetric")
     one = Fraction(1)
-    det = laplace_det(Q, one)
-    if det == 0:
+    if laplace_det(Q, one) == 0:
         raise KEnergyError("variety not smooth: quadric matrix is singular")
-    shape = (1, m)
-    terms = {}
-    for i in range(m):
-        for j in range(m):
-            # adj(Q)[i][j] is the (j, i) cofactor
-            minor = [[Q[r][c] for c in range(m) if c != i] for r in range(m) if r != j]
-            adj = (-1) ** (i + j) * laplace_det(minor, one) if minor else one
-            if adj == 0:
-                continue
-            exp = [0] * m
-            exp[i] += 1
-            exp[j] += 1
-            key = (tuple(exp),)
-            terms[key] = terms.get(key, Fraction(0)) + adj
-    return MatrixPoly(shape, {k: v for k, v in terms.items() if v})
+
+    def cofactor(i, j):
+        minor = [[Q[r][c] for c in range(m) if c != j] for r in range(m) if r != i]
+        return (-1) ** (i + j) * laplace_det(minor, one) if minor else one
+
+    # adj(Q)[i][j] is the (j, i) cofactor
+    return quadric_poly([[cofactor(j, i) for j in range(m)] for i in range(m)])
 
 
 def quadric_poly(Q):
@@ -201,18 +193,10 @@ def chow_form_hypersurface(q, rows):
     if rows != m - 1:
         raise KEnergyError(f"frame must have {m - 1} rows for a hypersurface in P^{m - 1}")
     cross = generalized_cross(m)
-    shape = (m - 1, m)
-    out = MatrixPoly.zero(shape)
-    cache = {}
+    out = MatrixPoly.zero((m - 1, m))
     for exp, coeff in q.terms():
-        idx = [c for c, e in enumerate(exp[0]) for _ in range(e)]
-        key = tuple(idx)
-        if key not in cache:
-            prod = MatrixPoly.constant(shape, 1)
-            for c in idx:
-                prod = prod * cross[c]
-            cache[key] = prod
-        out = out + cache[key].scale(coeff)
+        i, j = (c for c, e in enumerate(exp[0]) for _ in range(e))
+        out = out + (cross[i] * cross[j]).scale(coeff)
     return out
 
 
@@ -310,19 +294,6 @@ def validate_instance(instance: VarietyInstance):
     return True
 
 
-def _conic_instance():
-    data = VarietyData(n=1, N=2, d=2, mu=rational_curve_profile(2), delta=0)
-    q = quadric_poly([[0, 0, Fraction(1, 2)], [0, -1, 0], [Fraction(1, 2), 0, 0]])
-    chow = normalize_scaling(chow_form_hypersurface(q, rows=2))
-    disc = normalize_scaling(binary_discriminant(2))
-    return VarietyInstance(
-        name="conic",
-        data=data,
-        parametrization=((0,), (1,), (2,)),
-        discriminants=DiscriminantSet(chow=chow, hyper={1: disc}),
-    )
-
-
 def _rational_normal_curve_instance(d):
     data = VarietyData(n=1, N=d, d=d, mu=rational_curve_profile(d), delta=0)
     shape = (2, d + 1)
@@ -360,47 +331,35 @@ def _quadric_surface_instance():
 def build_instance(name):
     """Construct a catalog instance from its name.
 
-    Accepted names: "conic", "rational_normal_curve(d)" (d >= 2),
-    "quadric_surface", "quadric_hypersurface(n)" (n = 1 is the conic, n = 2
-    the quadric surface) and "user(dir)", a saved instance directory.  All
-    degree invariants are checked before returning.
+    Accepted names: "conic" (rational_normal_curve(2) under its own name),
+    "rational_normal_curve(d)" (d >= 2), "quadric_surface" and "user(dir)", a
+    saved instance directory.  All degree invariants are checked before
+    returning.
     """
     base, arg = name.strip(), None
     if "(" in base and base.endswith(")"):
         base, arg = (part.strip() for part in base[:-1].split("(", 1))
     if base == "user" and arg is not None:
         return load_instance(arg)
-    if arg is None and base in ("conic", "quadric_surface"):
-        instance = _conic_instance() if base == "conic" else _quadric_surface_instance()
-    elif arg is not None and base in ("rational_normal_curve", "quadric_hypersurface"):
+    if arg is None and base == "conic":
+        instance = replace(_rational_normal_curve_instance(2), name="conic")
+    elif arg is None and base == "quadric_surface":
+        instance = _quadric_surface_instance()
+    elif arg is not None and base == "rational_normal_curve":
         try:
-            m = int(arg)
+            d = int(arg)
         except ValueError as exc:
             raise InvalidInstanceError(f"'{name}': expected an integer in parentheses") from exc
-        if base == "rational_normal_curve":
-            if m < 2:
-                raise InvalidInstanceError("rational_normal_curve needs degree >= 2")
-            instance = _rational_normal_curve_instance(m)
-        elif m in (1, 2):
-            instance = _conic_instance() if m == 1 else _quadric_surface_instance()
-        else:
-            raise InvalidInstanceError(
-                "quadric_hypersurface is cataloged for dim <= 2 only; intermediate "
-                "hyperdiscriminant formats of higher quadrics have no closed form here"
-            )
+        if d < 2:
+            raise InvalidInstanceError("rational_normal_curve needs degree >= 2")
+        instance = _rational_normal_curve_instance(d)
     else:
         raise InvalidInstanceError(f"unknown catalog name '{name}'")
     validate_instance(instance)
     return instance
 
 
-CATALOG_NAMES = (
-    "conic",
-    "rational_normal_curve(d)",
-    "quadric_surface",
-    "quadric_hypersurface(n<=2)",
-    "user(path)",
-)
+CATALOG_NAMES = ("conic", "rational_normal_curve(d)", "quadric_surface", "user(path)")
 
 
 # ---------------------------------------------------------------------------

@@ -48,34 +48,22 @@ def _canonical(obj):
     return str(obj)
 
 
-def emit(payload, fmt="json"):
-    payload = _canonical(payload)
+def emit(payload):
     try:
-        text = json.dumps(payload, sort_keys=True, allow_nan=False,
-                          indent=2 if fmt == "pretty" else None)
+        text = json.dumps(_canonical(payload), sort_keys=True, allow_nan=False)
     except ValueError as exc:  # NaN or an infinity, which JSON cannot hold
         raise KEnergyError(f"the result is not finite: {exc}") from None
-    if fmt in ("json", "pretty"):
-        print(text)
-    elif fmt == "csv":
-        rows = payload.get("result") if isinstance(payload, dict) else None
-        table = rows.get("rows") if isinstance(rows, dict) else None
-        if not table:
-            print(text)
-            return
-        header = sorted(table[0])
-        print(",".join(header))
-        for row in table:
-            print(",".join(str(row.get(h, "")) for h in header))
-    else:
-        raise KEnergyError(f"unknown output format '{fmt}'")
+    print(text)
 
 
 def _parse_list(text, convert, what):
     try:
-        return tuple(convert(v.strip()) for v in text.split(",") if v.strip())
+        values = tuple(convert(v.strip()) for v in text.split(",") if v.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise KEnergyError(f"'{text}' is not a comma list of {what}: {exc!r}") from exc
+    if not all(abs(v) < float("inf") for v in values):  # rejects nan and +-inf
+        raise KEnergyError(f"'{text}' is not a comma list of finite {what}")
+    return values
 
 
 def _parse_samples(text):
@@ -145,7 +133,7 @@ def _load_poly(path):
 def cmd_catalog(args):
     if args.action == "list":
         emit({"config": {"subcommand": "catalog", "action": "list"},
-              "result": {"names": list(cat.CATALOG_NAMES)}}, args.format)
+              "result": {"names": list(cat.CATALOG_NAMES)}})
         return 0
     instance = cat.build_instance(args.name)
     cat.save_instance(instance, args.out)
@@ -164,8 +152,7 @@ def cmd_catalog(args):
                 "files": ["instance.json", "chow.json"]
                 + [f"hyper_{i}.json" for i in sorted(instance.discriminants.hyper)],
             },
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -190,8 +177,7 @@ def cmd_degrees(args):
                                 "admissible_k": list(fr.admissible_k)},
                 "muRoundTrip": round_trip,
             },
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -210,8 +196,7 @@ def cmd_derive_chern(args):
                 "coefficients": coeffs,
                 "match": "PASS" if derived == closed else "FAIL",
             },
-        },
-        args.format,
+        }
     )
     return 0 if derived == closed else 1
 
@@ -223,8 +208,7 @@ def cmd_norm(args):
             "config": {"subcommand": "norm", "file": args.file},
             "result": {"normSq": fs_norm_sq(poly), "terms": poly.num_terms(),
                        "degree": poly.total_degree()},
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -237,8 +221,7 @@ def cmd_weight(args):
             "config": {"subcommand": "weight", "lambda": list(lam.weights),
                        "file": args.file},
             "result": {"minWeight": min_weight(lam, poly)},
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -275,8 +258,7 @@ def cmd_energy(args):
                        "breakdown": bool(args.breakdown),
                        "crossCheck": bool(args.cross_check)},
             "result": result,
-        },
-        args.format,
+        }
     )
     return 0 if identity_holds else 1
 
@@ -299,8 +281,7 @@ def cmd_asymptotics(args):
                        "k": args.k, "lambda": list(lam.weights),
                        "fit": args.fit},
             "result": result,
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -319,8 +300,7 @@ def cmd_scan(args):
                 "destabilizerFound": report.destabilizer_found,
                 "verdict": report.verdict,
             },
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -368,7 +348,7 @@ def cmd_numeric(args):
                   "difference": abs(via_exp - via_affine)}
     else:
         raise KEnergyError(f"unknown numeric check '{args.check}'")
-    emit({"config": config, "result": result}, args.format)
+    emit({"config": config, "result": result})
     return 0
 
 
@@ -399,8 +379,7 @@ def cmd_minimize(args):
                 "finalGradientNorm": norms[-1],
                 "energies": list(trace.energies),
             },
-        },
-        args.format,
+        }
     )
     return 0
 
@@ -417,18 +396,11 @@ def build_parser():
         "computed through Chow forms and hyperdiscriminants, with numeric "
         "quadrature cross-checks on curves.",
     )
-    def add_format(p, default):
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default=default,
-                       help="output format (JSON is canonical); before or after the subcommand")
-
-    add_format(parser, "json")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add(name, text, func):
         p = sub.add_parser(name, help=text, description=text)
         p.set_defaults(func=func)
-        # SUPPRESS: a subcommand without --format keeps the value given before it
-        add_format(p, argparse.SUPPRESS)
         return p
 
     p = add(

@@ -40,7 +40,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
-from .asymptotics import check_magnitudes
+from .asymptotics import fit_log_slope
 from .catalog import VarietyInstance
 from .errors import KEnergyError
 
@@ -307,19 +307,13 @@ class NumericSlopeReport:
 def numeric_slope(instance, weights, samples, spec=QuadratureSpec(), algebraic=None):
     """Fit the quadrature energy along diag(t^a) against log|t|^2."""
     samples = tuple(float(t) for t in samples)
-    check_magnitudes(samples)
-    energies = []
-    for t in samples:
-        xi = np.diag(np.array(weights, dtype=float)) * math.log(t)
-        energies.append(energy_quadrature(instance, xi, spec))
-    xs = np.array([2.0 * math.log(t) for t in samples])
-    ys = np.array(energies)
-    design = np.vstack([xs, np.ones_like(xs)]).T
-    (slope, _), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    diag = np.diag(np.array(weights, dtype=float))
+    slope, _, energies = fit_log_slope(
+        samples, lambda t: energy_quadrature(instance, diag * math.log(t), spec))
     return NumericSlopeReport(
         weights=tuple(int(w) for w in weights),
         samples=samples,
-        energies=tuple(energies),
-        fit_slope=float(slope),
+        energies=energies,
+        fit_slope=slope,
         algebraic_slope=algebraic,
     )

@@ -106,6 +106,8 @@ def test_slope_fit_input_validation(conic):
         slope_fit(conic, 1, lam, [0.1, 0.2, 0.3])
     with pytest.raises(KEnergyError):
         slope_fit(conic, 1, lam, [0.1, 0.2, 1.5, 0.3])
+    with pytest.raises(KEnergyError, match="2 distinct"):
+        slope_fit(conic, 1, lam, [0.1, 0.1, 0.1, 0.1])
 
 
 def test_slope_fit_far_below_the_float_range_of_t_to_the_a(conic, quadric_surface):

@@ -192,9 +192,11 @@ def test_cayley_hyperdet_vanishes_on_decomposables():
 # -- Chow forms --
 
 
-def test_conic_chow_form_examples():
+def test_conic_chow_form_examples(conic):
     q = quadric_poly([[0, 0, Fraction(1, 2)], [0, -1, 0], [Fraction(1, 2), 0, 0]])
     chow = chow_form_hypersurface(q, rows=2)
+    # the cross product of x0*x2 - x1^2 is an oracle for the stored resultant
+    assert is_scalar_multiple(chow, conic.discriminants.chow)
     assert chow.homogeneous_degree() == 4
     assert evaluate(chow, [[1, 0, 0], [0, 1, 0]]) == 0
     assert evaluate(chow, [[1, 0, 0], [0, 0, 1]]) == -1
@@ -301,11 +303,13 @@ def test_quadric_surface_stores_hyperdet(quadric_surface):
     assert is_scalar_multiple(quadric_surface.discriminants.hyper[1], cayley_hyperdet())
 
 
-def test_quadric_hypersurface_aliases():
-    assert build_instance("quadric_hypersurface(1)").name == "conic"
-    assert build_instance("quadric_hypersurface(2)").name == "quadric_surface"
-    with pytest.raises(InvalidInstanceError):
-        build_instance("quadric_hypersurface(3)")
+def test_conic_is_the_rational_normal_curve_of_degree_two(conic):
+    rnc2 = build_instance("rational_normal_curve(2)")
+    assert conic.name == "conic"
+    assert conic.data == rnc2.data
+    assert conic.parametrization == rnc2.parametrization
+    assert conic.discriminants.chow == rnc2.discriminants.chow
+    assert conic.discriminants.hyper == rnc2.discriminants.hyper
 
 
 def test_normalize_scaling_fixed_points(conic):

@@ -171,28 +171,19 @@ def test_list_values_may_start_with_a_minus_sign(capsys, conic_dir):
     assert json.loads(out)["error"]["message"] == "mu_0 must equal 1"
 
 
-def test_asymptotics_fit_csv(capsys, conic_dir):
-    code, out = run_cli(capsys, "--format", "csv", "asymptotics", "--instance",
-                        conic_dir, "--k", "1", "--lambda", "2,-1,-1",
-                        "--fit", "1e-1:1e-4:4")
+def test_one_name_per_variety_and_one_output_format(capsys, tmp_path):
+    code, out = run_cli(capsys, "catalog", "list")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "Mk,t"
-    assert len(lines) == 5
-
-
-def test_format_before_or_after_the_subcommand(capsys, conic_dir):
-    args = ["asymptotics", "--instance", conic_dir, "--k", "1", "--lambda", "2,-1,-1",
-            "--fit", "1e-1:1e-4:4"]
-    code, before = run_cli(capsys, "--format", "csv", *args)
-    assert code == 0
-    code, after = run_cli(capsys, *args, "--format", "csv")
-    assert code == 0
-    assert after == before
-    assert before.splitlines()[0] == "Mk,t"
-    code, plain = run_cli(capsys, *args)
-    assert code == 0
-    assert json.loads(plain)["result"]["rows"]
+    assert json.loads(out)["result"]["names"] == [
+        "conic", "rational_normal_curve(d)", "quadric_surface", "user(path)"]
+    code, out = run_cli(capsys, "catalog", "build", "quadric_hypersurface(1)",
+                        "--out", str(tmp_path / "q"))
+    assert code == 1
+    assert "unknown catalog name" in json.loads(out)["error"]["message"]
+    for argv in (["--format", "json", "catalog", "list"], ["catalog", "list", "--format", "json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_scan_command(capsys, conic_dir):
@@ -245,8 +236,14 @@ REJECTED = {
     "path-xi-not-a-number": ("numeric", "--instance", "{conic}", "--check", "path",
                              "--xi", "2,x,-1"),
     "path-xi-nan": ("numeric", "--instance", "{conic}", "--check", "path", "--xi=nan,0,0"),
+    "path-xi-infinite": ("numeric", "--instance", "{conic}", "--check", "path",
+                         "--xi=inf,0,-inf"),
     "path-xi-spread-too-large": ("numeric", "--instance", "{conic}", "--check", "path",
                                  "--xi=300,0,-300"),
+    "slope-samples-one-magnitude": ("numeric", "--instance", "{conic}", "--check", "slope",
+                                    "--samples", "0.1"),
+    "fit-grid-one-magnitude": ("asymptotics", "--instance", "{conic}", "--k", "1",
+                               "--lambda", "2,-1,-1", "--fit", "0.1,0.1,0.1,0.1"),
     "slope-samples-spread-too-large": ("numeric", "--instance", "{conic}", "--check", "slope",
                                        "--xi=2,-1,-1", "--samples", "1e-1:1e-100:3"),
     "degrees-mu-not-a-fraction": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
@@ -329,11 +326,10 @@ def test_non_finite_sigma_is_a_domain_error(capsys, conic_dir, tmp_path, cells):
     assert set(json.loads(out)) == {"error"}
 
 
-@pytest.mark.parametrize("fmt", ["json", "pretty", "csv"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_result_is_a_domain_error(capsys, conic_dir, monkeypatch, fmt, value):
+def test_non_finite_result_is_a_domain_error(capsys, conic_dir, monkeypatch, value):
     monkeypatch.setattr(kenergy.cli, "fs_norm_sq", lambda poly: value)
-    code, out = run_cli(capsys, "--format", fmt, "norm", f"{conic_dir}/hyper_1.json")
+    code, out = run_cli(capsys, "norm", f"{conic_dir}/hyper_1.json")
     assert code == 1
     assert set(json.loads(out)) == {"error"}
 

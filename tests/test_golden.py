@@ -48,7 +48,7 @@ COMMANDS = {
 }
 
 FILE_SHA256 = {
-    "conic/chow.json": "d6fff76fb3c251586f094a6489b51a9f2d955eab324d91c4aa5cd0cc07c357e7",
+    "conic/chow.json": "3c562a34e5164e9f9a5f3b9c94e06ef8a4fc7ec370707761474c9ced1f9dea95",
     "conic/hyper_1.json": "a905b34aaab793163db6c037bee7eb11ad4c46cc8b26e2b79c48dfae9522b634",
     "conic/instance.json": "191257836b76cd31e4249b0d499801c8465f96587e0dd95dda23d19a0f47e534",
     "rnc3/chow.json": "2d828569d9c6408361ec08b6ed3e50cbd832f310c4598d38833feaa079b70b9e",
