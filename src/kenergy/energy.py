@@ -28,9 +28,8 @@ import numpy as np
 from .catalog import VarietyInstance
 from .chern import comb
 from .errors import FormatRangeError, KEnergyError
-from .exactpoly import MatrixPoly, right_substitute
 from .invariants import degree_vector, format_range
-from .pairing import GroupElement, log_norm_ratio
+from .pairing import GroupElement, dense_form, dense_image, log_norm_ratio, moment_matrix
 
 
 def _check_admissible(instance: VarietyInstance, k: int):
@@ -139,57 +138,17 @@ def energy_via_formula(instance, sigma, k) -> EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _moment_matrix(q: MatrixPoly):
-    """M[j, c] = <L_jc q, q> / |q|^2 with L_jc = sum_r x[r][j] d/dx[r][c],
-    in the factorial-weighted inner product sum_alpha p_alpha conj(q_alpha) / alpha!.
-
-    L_jc sends the term of exponent beta to beta - e_rc + e_rj with the
-    factor beta[r][c], so column c of M is one pass over the terms with
-    beta[r][c] > 0 for each row r: each exponent is encoded as an integer key
-    and its images are looked up among the sorted keys (j = c maps a term
-    onto itself).
-    """
-    exps, coeffs = zip(*q.term_dict().items())
-    e = np.array(exps, dtype=np.int64)  # (terms, rows, cols)
-    terms, rows, cols = e.shape
-    c = np.array([complex(v) for v in coeffs])
-    c /= np.abs(c).max()  # M is scale-free; this keeps the products finite
-    factorial = np.array([float(math.factorial(a)) for a in range(e.max() + 1)])
-    w = 1.0 / factorial[e].prod(axis=(1, 2))
-    # base max+2: an image entry max+1 must not carry into the next digit
-    base = int(e.max()) + 2
-    dtype = np.int64 if base ** (rows * cols) < 2**63 else object
-    places = np.array([base**p for p in range(rows * cols)], dtype=dtype).reshape(rows, cols)
-    keys = e.reshape(terms, -1).astype(dtype) @ places.ravel()
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    m = np.zeros((cols, cols), dtype=complex)
-    for r in range(rows):
-        for col in range(cols):
-            src = np.nonzero(e[:, r, col])[0]
-            # images[t, j]: the key of term src[t] with one unit of row r moved to column j
-            images = keys[src, None] + (places[r] - places[r, col])
-            pos = np.minimum(np.searchsorted(sorted_keys, images), terms - 1)
-            target = order[pos]
-            paired = np.where(sorted_keys[pos] == images, np.conj(c[target]) * w[target], 0)
-            m[:, col] += (c[src] * e[src, r, col]) @ paired
-    return m / np.dot(np.abs(c) ** 2, w)
-
-
 def _gradient_matrix(instance, sigma, k):
     """G with d/ds M_k(sigma e^{s xi}) at s = 0 equal to 2 Re tr(xi G).
 
     Write q = sigma . P.  Then d/ds log |(sigma e^{s xi}) . P|^2 is
     2 Re <D q, q>/|q|^2 with D = sum_jc eta_jc L_jc, eta = sigma xi sigma^-1,
-    so each stored polynomial contributes one moment matrix (one
+    so each stored polynomial contributes one moment matrix (one dense
     substitution).  `combine` turns them into the energy moment W, and
     2 Re sum_jc eta_jc W_jc = 2 Re tr(xi G) with G = sigma^-1 W^T sigma.
     """
-    w = combine(
-        instance,
-        k,
-        lambda i: _moment_matrix(right_substitute(instance.polynomial(i), sigma.entries)),
-    ).total
+    w = combine(instance, k, lambda i: moment_matrix(
+        dense_image(sigma, dense_form(instance.polynomial(i))), sigma.size)).total
     s = sigma.matrix
     return np.linalg.solve(s, w.T @ s)
 

@@ -7,15 +7,15 @@ dictionary mapping exponent matrices to coefficients:
 
 Exponent matrices are tuples of row tuples (row-major), one nonnegative integer
 per variable.  Coefficients are either Fraction (exact, the default) or Python
-complex (the floating lane, used once a complex or non-rational group element
-enters; Python's numeric tower turns Fraction * complex into complex).  A
+complex (Python's numeric tower turns Fraction * complex into complex).  A
 polynomial never stores zero coefficients and never mixes the two coefficient
 kinds; the zero polynomial has an empty term dict but keeps its shape.
 
 The group SL(c, C) acts by substituting each row of the variable matrix with its
 image under right multiplication: (g . p)(A) := p(A @ g).  Composing two
 substitutions therefore multiplies on the left, rs(rs(p, g), h) == rs(p, h @ g),
-which is exactly what makes g . (h . p) == (g @ h) . p a left action.
+which is exactly what makes g . (h . p) == (g @ h) . p a left action.  It is
+the exact lane, and the tests' reference for the dense lane of kenergy.pairing.
 
 Canonical term order is graded lexicographic on the flattened exponent matrix;
 iteration, printing and JSON output follow it.  All values are immutable
@@ -328,9 +328,7 @@ def right_substitute(poly: MatrixPoly, g) -> MatrixPoly:
         )
     if poly.is_zero:
         return poly
-    # with a floating g every product is complex; convert each coefficient once
-    floating = all(isinstance(v, complex) for row in entries for v in row)
-    out = {exp: complex(c) if floating else c for exp, c in poly._terms.items()}
+    out = poly._terms
     # forms[c]: the linear form x_c -> sum_j g[j][c] x_j as its (j, g[j][c]) pairs
     forms = [[(j, entries[j][c]) for j in range(cols) if entries[j][c]] for c in range(cols)]
     unit = (0,) * cols

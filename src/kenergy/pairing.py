@@ -6,9 +6,10 @@ evaluated in floating point with max-term factoring (a log-sum-exp), so
 one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Everything
 here is per stored polynomial; kenergy.energy combines the values with
 integer coefficients, so the tensors of the pair (v_k, w_k) are never formed.
-A log-norm ratio is computed afresh at each call, with no cache: a diagonal
-sigma through the column log scales of `diagonal_log_ratio`, any other through
-one substitution (`exactpoly.right_substitute`, one row at a time).
+A log-norm ratio is computed afresh at each call: a diagonal sigma through
+column log scales, an exact one through `exactpoly.right_substitute`, a
+floating one on the dense lane (`dense_form`), where sigma acts on each row's
+mode through Sym^d(sigma); only integer index tables are memoized.
 
 The weight of a monomial under an integer one-parameter subgroup is the dot
 product of its column-degree vector with the weights; the asymptotic slope of
@@ -19,7 +20,9 @@ because the smallest power of |t| dominates.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -217,7 +220,107 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
     if sigma.is_diagonal:
         return diagonal_log_ratio(
             p, [math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)])
-    return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
+    if sigma.exact:
+        return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
+    form = dense_form(p)
+    return _dense_log_norm_sq(dense_image(sigma, form)) - _dense_log_norm_sq(form)
+
+
+_Tables = namedtuple("_Tables", "index scale up parent col coef")
+
+
+@functools.cache
+def _tables(n, d):
+    """The degree-d monomials in n variables, sorted: their positions, the
+    entry scale 1/sqrt(alpha!) (the one place the norm weight enters the dense
+    lane), and for d >= 1 the links to degree d - 1: up[delta, j] is delta + e_j,
+    alpha is parent[alpha] + e_{col[alpha]}; coef is used by `moment_matrix`."""
+    if d == 0:
+        return _Tables({(0,) * n: 0}, np.ones(1), *[None] * 4)
+    lower = _tables(n, d - 1)
+    raised = [[v[:j] + (v[j] + 1,) + v[j + 1:] for j in range(n)] for v in lower.index]
+    index = {v: i for i, v in enumerate(sorted({v for row in raised for v in row}))}
+    scale = np.array([1.0 / math.sqrt(math.prod(map(math.factorial, v))) for v in index])
+    up = np.array([[index[v] for v in row] for row in raised])
+    col = np.array([next(c for c, e in enumerate(v) if e) for v in index])
+    parent = np.array([lower.index[v[:c] + (v[c] - 1,) + v[c + 1:]] for v, c in zip(index, col)])
+    lifted = scale[up]
+    coef = (np.array(list(lower.index))[:, :, None] + 1) * lifted[:, None] / lifted[..., None]
+    return _Tables(index, scale, up, parent, col, coef)
+
+
+def sym_powers(g, top):
+    """[Sym^0(g), ..., Sym^top(g)]: column alpha holds (x g)^alpha, scaled as in
+    `dense_form`; level d is level d - 1 times one column of g, summed over j."""
+    raw = np.ones((1, 1), dtype=complex)
+    powers = [raw]
+    for d in range(1, top + 1):
+        t = _tables(len(g), d)
+        lower = raw[:, t.parent]
+        raw = np.zeros((len(t.parent), len(t.parent)), dtype=complex)
+        for j, column in enumerate(g[:, t.col]):
+            raw[t.up[:, j]] += lower * column
+        powers.append(raw * (t.scale[:, None] / t.scale))
+    return powers
+
+
+def dense_form(p: MatrixPoly) -> dict:
+    """p as {row-degree vector: tensor of entries c_alpha / sqrt(alpha!)}, one mode
+    per row; parts of different row degrees are orthogonal and stay apart."""
+    form = {}  # the terms of each row-degree vector, then their tensor
+    for exp, coeff in p.term_dict().items():
+        form.setdefault(tuple(map(sum, exp)), []).append((exp, coeff))
+    for degrees, terms in form.items():
+        tables = [_tables(p.shape[1], d) for d in degrees]
+        at = np.array([[t.index[row] for t, row in zip(tables, exp)] for exp, _ in terms]).T
+        form[degrees] = tensor = np.zeros([len(t.scale) for t in tables], dtype=complex)
+        tensor[tuple(at)] = np.array([complex(coeff) for _, coeff in terms]) * math.prod(
+            t.scale[positions] for t, positions in zip(tables, at))
+    return form
+
+
+def dense_image(sigma: GroupElement, form: dict) -> dict:
+    """The dense form of sigma . p from that of p.  sigma is not rescaled: a
+    coefficient that leaves the float range raises, not a wrong norm."""
+    image = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = sym_powers(sigma.matrix, max(max(degrees) for degrees in form))
+        for degrees, tensor in form.items():
+            for d in degrees:  # each product consumes mode 0 and appends the new mode last
+                tensor = np.tensordot(tensor, powers[d], (0, 1))
+            if not np.isfinite(tensor).all():
+                raise KEnergyError("a substituted coefficient is not finite; give sigma exactly "
+                                   "(integer or rational strings) to use the exact lane")
+            image[degrees] = tensor
+    return image
+
+
+def _dense_log_norm_sq(form) -> float:
+    top = max(float(np.abs(t).max()) for t in form.values())
+    if top == 0.0:
+        raise ZeroPolynomialError("norm of a numerically zero polynomial")
+    return 2.0 * math.log(top) + math.log(sum(np.vdot(t / top, t / top).real
+                                              for t in form.values()))
+
+
+def moment_matrix(form, n) -> np.ndarray:
+    """M[j, c] = <L_jc q, q> / |q|^2 for the dense form of q, L_jc = sum_r
+    x[r][j] d/dx[r][c].  L_jc sends delta + e_c to delta + e_j times delta_c + 1,
+    so a mode with Gram matrix G adds sum_delta coef[delta, c, j] G[delta + e_c,
+    delta + e_j], coef = (delta_c + 1) scale[delta + e_j] / scale[delta + e_c]."""
+    top = max(float(np.abs(t).max()) for t in form.values())
+    moment = np.zeros((n, n), dtype=complex)
+    norm = 0.0
+    for degrees, tensor in form.items():
+        tensor = tensor / top  # M is scale-free; this keeps the products finite
+        norm += np.vdot(tensor, tensor).real
+        for r, d in enumerate(degrees):
+            if d:
+                unfolded = np.moveaxis(tensor, r, 0).reshape(tensor.shape[r], -1)
+                gram = unfolded @ unfolded.conj().T
+                t = _tables(n, d)
+                moment += np.einsum("dcj,dcj->jc", t.coef, gram[t.up[..., None], t.up[:, None]])
+    return moment / norm
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from scipy.linalg import expm
 
 import kenergy.energy as energy_mod
 from kenergy.energy import (
-    _moment_matrix,
     build_pair_vectors,
     directional_derivative,
     energy_coefficients,
@@ -17,7 +16,7 @@ from kenergy.energy import (
 from kenergy.catalog import DiscriminantSet, VarietyInstance
 from kenergy.errors import FormatRangeError, KEnergyError
 from kenergy.exactpoly import MatrixPoly, lie_derivative
-from kenergy.pairing import GroupElement, fs_norm_sq, log_norm_ratio
+from kenergy.pairing import GroupElement, dense_form, fs_norm_sq, log_norm_ratio, moment_matrix
 from conftest import random_float_sl, random_rational_sl, seeded
 from oracles import fs_inner
 
@@ -217,33 +216,39 @@ def test_derivative_along_the_identity_vanishes(conic, twisted_cubic, quadric_su
 def test_gradient_substitutes_once_per_stored_polynomial(request, monkeypatch, fixture, k):
     instance = request.getfixturevalue(fixture)
     calls = []
-    substitute = energy_mod.right_substitute
+    substitute = energy_mod.dense_image
 
-    def counting(poly, g):
-        calls.append(poly.shape)
-        return substitute(poly, g)
+    def counting(sigma, form):
+        calls.append(sorted(form))
+        return substitute(sigma, form)
 
-    # the gradient is the only caller of energy.right_substitute; energies go
+    # the gradient is the only caller of energy.dense_image; energies go
     # through pairing.log_norm_ratio
-    monkeypatch.setattr(energy_mod, "right_substitute", counting)
+    monkeypatch.setattr(energy_mod, "dense_image", counting)
     sigma0 = random_float_sl(instance.N + 1, np.random.default_rng(4), scale=0.5)
-    minimize_energy(instance, k, sigma0, max_iters=1)
+    grads = energy_mod.sl_gradient(instance, sigma0, k, np.array(sl_basis(instance.N + 1)))
+    assert np.isfinite(grads).all()
     assert len(calls) == k + 1  # not 2 (k + 1) (2 (N + 1)^2 - 2)
 
 
 def test_moment_matrix_against_lie_derivative_pairing():
     # M[j, c] = <L_jc q, q>/|q|^2 against the pairing of the Lie derivative
-    # along E_jc (exactpoly.lie_derivative, oracles.fs_inner); the (3, 8)
-    # shape with exponents up to 10 has exponent keys beyond int64
+    # along E_jc (exactpoly.lie_derivative, oracles.fs_inner), on random
+    # multihomogeneous polynomials with row degrees up to 6 and on one whose
+    # terms have two different row-degree vectors
     rng = seeded(21)
-    for shape, top in (((2, 3), 3), ((3, 8), 10)):
+    for shape, degrees in (((2, 3), [(2, 3)]), ((3, 4), [(1, 0, 4)]), ((1, 5), [(6,)]),
+                           ((2, 3), [(1, 2), (2, 0)])):
         terms = {}
         for _ in range(30):
-            exp = tuple(tuple(rng.randint(0, top) for _ in range(shape[1])) for _ in range(shape[0]))
-            terms[exp] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+            rows = []
+            for d in rng.choice(degrees):
+                cuts = sorted(rng.randint(0, d) for _ in range(shape[1] - 1))
+                rows.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [d])))
+            terms[tuple(rows)] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
         q = MatrixPoly(shape, terms)
-        moment = _moment_matrix(q)
         cols = shape[1]
+        moment = moment_matrix(dense_form(q), cols)
         for j in range(cols):
             for c in range(cols):
                 xi = np.zeros((cols, cols), dtype=complex)

@@ -1,23 +1,31 @@
+import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from kenergy.catalog import build_instance
-from kenergy.energy import energy_via_formula
+from kenergy.energy import directional_derivative, energy_via_formula
 from kenergy.errors import KEnergyError, ZeroPolynomialError
-from kenergy.exactpoly import MatrixPoly, right_substitute
+from kenergy.exactpoly import MatrixPoly, lie_derivative, right_substitute
 from kenergy.pairing import (
     GroupElement,
     OneParamSubgroup,
+    _tables,
+    dense_form,
+    dense_image,
     fs_norm_sq,
+    log_fs_norm_sq,
     log_norm_ratio,
     min_weight,
+    moment_matrix,
+    sym_powers,
 )
 
 from conftest import random_exact_poly, random_float_sl, seeded
-from oracles import fs_norm_sq_exact
+from oracles import fs_inner, fs_norm_sq_exact
 
 SHAPE = (1, 3)
 
@@ -235,6 +243,63 @@ def test_float_lane_at_large_det_one_entries():
     assert abs(floating - exact) <= 1e-9 * abs(exact)
     with pytest.raises(KEnergyError, match="exact lane"):
         energy_via_formula(rnc4, GroupElement.from_matrix(sigma(1e80, 1e-80)), 1)
+    # the gradient reads the same substituted coefficients: finite at 1e40,
+    # refused with the same error, and no RuntimeWarning, at 1e80
+    xi = np.diag([1.0, -1.0, 0.0, 0.0, 0.0]).astype(complex)
+    xi[0, 1] = xi[2, 4] = 0.5j
+    assert math.isfinite(directional_derivative(
+        rnc4, GroupElement.from_matrix(sigma(1e40, 1e-40)), 1, xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KEnergyError, match="exact lane"):
+            directional_derivative(rnc4, GroupElement.from_matrix(sigma(1e80, 1e-80)), 1, xi)
+
+
+def test_sym_powers_form_a_representation():
+    # Sym^d(h g) = Sym^d(h) Sym^d(g), Sym^d(I) = I and Sym^d(diag t) = diag(t^alpha),
+    # from the index tables alone
+    rng = np.random.default_rng(31)
+    for n in (3, 4, 5):
+        g, h = (random_float_sl(n, rng, scale=0.4).matrix for _ in range(2))
+        t = np.exp(0.3 * rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        product, sym_h, sym_g = (sym_powers(m, 6) for m in (h @ g, h, g))
+        ones, diag = sym_powers(np.eye(n), 6), sym_powers(np.diag(t), 6)
+        for d in range(1, 7):
+            want = sym_h[d] @ sym_g[d]
+            assert np.abs(product[d] - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(ones[d], np.eye(len(ones[d])))
+            powers = np.array([np.prod(t ** np.array(alpha)) for alpha in _tables(n, d).index])
+            assert np.allclose(diag[d], np.diag(powers), rtol=1e-13, atol=0)
+
+
+def test_dense_lane_against_the_dict_substitution():
+    # every stored polynomial up to RNC(4), and one that is not multihomogeneous:
+    # log-norm ratios within 1e-12 relative of the exact dict path in complex
+    # arithmetic, and moment matrices against the Lie-derivative pairing
+    rng = np.random.default_rng(32)
+    x = functools.partial(MatrixPoly.variable, (2, 3))
+    mixed = x(0, 0) ** 2 * x(1, 1) - (x(0, 1) * x(1, 2)).scale(3) + x(1, 0) ** 3 * x(0, 2)
+    polys = [(mixed, True)]
+    for name in ("conic", "rational_normal_curve(3)", "quadric_surface",
+                 "rational_normal_curve(4)"):
+        instance = build_instance(name)
+        polys += [(instance.polynomial(i), instance.N < 4) for i in range(instance.n + 1)]
+    for p, moments in polys:
+        n = p.shape[1]
+        sigma = random_float_sl(n, rng, scale=0.5)
+        image = right_substitute(p, sigma.entries)
+        want = log_fs_norm_sq(image) - log_fs_norm_sq(p)
+        assert abs(log_norm_ratio(sigma, p) - want) <= 1e-12 * max(1.0, abs(want))
+        if not moments:
+            continue
+        moment = moment_matrix(dense_image(sigma, dense_form(p)), n)
+        norm = fs_norm_sq(image)
+        for j in range(n):
+            for c in range(n):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[j, c] = 1.0
+                want = fs_inner(lie_derivative(image, unit), image) / norm
+                assert abs(moment[j, c] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("cell", [float("nan"), float("inf"), complex(1, float("nan"))])
