@@ -3,6 +3,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 
 from kenergy import numeric
@@ -202,6 +203,77 @@ def test_eigenvalue_spread_bound(conic, monkeypatch):
     monkeypatch.setattr(numeric, "_MAX_SPREAD", math.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
         assert not math.isfinite(energy_quadrature(conic, 162.0 * direction))
+
+
+@pytest.mark.parametrize("spread", [100.0, 150.0])
+def test_no_finite_wrong_value_at_a_large_spread(conic, spread):
+    # along +(2, -1, -1) the c_1 density is 0/0 next to the radial cutoff, so
+    # the integral is not finite; a finite value must be the right one
+    x = np.array([2.0, -1.0, -1.0]) * spread / 3.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        got = energy_quadrature(conic, np.diag(x))
+    if math.isfinite(got):
+        want = toric_energy([e[0] for e in conic.parametrization], x,
+                            float(conic.data.mu[1]), conic.data.d)
+        assert abs(got - want) < 1e-6  # 1.3432181 at both spreads
+
+
+def test_node_tables_are_leggauss_built_once(conic, monkeypatch):
+    for n in (8, 24, 160, 421):
+        x, w = numeric._gauss_legendre(n)
+        want_x, want_w = leggauss(n)
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes()
+        for table in (x, w):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+    xi = np.diag([0.3, -0.1, -0.2])
+    calls = []
+    monkeypatch.setattr(numeric, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    numeric._gauss_legendre.cache_clear()
+    energy_quadrature(conic, xi, FAST)
+    assert len(calls) == 2  # the radial and the path node counts
+    calls.clear()
+    energy_quadrature(conic, xi, FAST)
+    assert calls == []
+
+
+def _per_node_energy(instance, xi, path, spec=QuadratureSpec()):
+    """energy_quadrature one path node and one block of grid points at a time."""
+    u_min = numeric._auto_u_min(spec, xi)
+    grid = numeric._log_polar_grid(u_min, numeric._auto_radial(spec, u_min),
+                                   numeric._angular_nodes(spec, xi))
+    xt, wt = leggauss(spec.path_nodes)
+    taus = 0.5 * (xt + 1.0)
+    sigmas = [expm(xi * tau) for tau in taus]
+    mu1 = float(instance.data.mu[1])
+    total = 0.0
+    for chart in curve_charts(instance):
+        for T, w in numeric._chart_blocks(chart, grid):
+            if path == "affine":
+                (_, n0, h0, L0, g0), (_, n1, h1, L1, g1) = (
+                    _plucker_fields(S, chart.powers, T, gradient=True)
+                    for S in (np.eye(instance.N + 1), expm(xi)))
+            for tau, wtau, sigma in zip(taus, 0.5 * wt, sigmas):
+                if path == "affine":
+                    phidot = np.log(n1 / n0)
+                    h = (1 - tau) * h0 + tau * h1
+                    dh = (1 - tau) * h0 * g0 + tau * h1 * g1
+                    ddbar = ((1 - tau) * h0 * (L0 + np.abs(g0) ** 2)
+                             + tau * h1 * (L1 + np.abs(g1) ** 2)) / h - np.abs(dh) ** 2 / h**2
+                else:
+                    U, nU, h, ddbar, _ = _plucker_fields(sigma, chart.powers, T)
+                    phidot = np.einsum("im,im->m", (xi + xi.conj().T) @ U, U.conj()).real / nU
+                total -= wtau * np.sum(w * phidot * (ddbar + mu1 * h)) / math.pi
+    return -2.0 * instance.data.d * total
+
+
+def test_stacked_evaluation_against_a_per_node_reference(conic, twisted_cubic):
+    rng = np.random.default_rng(29)
+    for instance in (conic, twisted_cubic):
+        xi = _hermitian(instance.N + 1, rng)
+        for path in ("exponential", "affine"):
+            want = _per_node_energy(instance, xi, path)
+            assert abs(energy_quadrature(instance, xi, path=path) / want - 1.0) < 1e-13
 
 
 def test_diagonal_densities_do_not_depend_on_the_angle(conic, twisted_cubic):
