@@ -1,11 +1,10 @@
 """Explicit variety instances with closed-form Chow forms and discriminants.
 
-Every catalog entry avoids elimination machinery: dual quadrics are adjugate
-quadrics, rational-normal-curve discriminants come from Sylvester resultants,
-the quadric surface's format-1 hyperdiscriminant is Cayley's 2x2x2
-hyperdeterminant, its Chow form is the quadric evaluated on the generalized
-cross product of the frame rows, and the Chow form of a rational normal curve
-is the resultant of the two binary forms its frame rows restrict to.
+Every catalog entry avoids elimination machinery: rational-normal-curve
+discriminants come from Sylvester resultants, the Chow form of a rational
+normal curve is the resultant of the two binary forms its frame rows restrict
+to, and every polynomial of the quadric surface is one Gram determinant per
+quadric format.
 
 Coordinate conventions are pinned:
 
@@ -86,118 +85,28 @@ def binary_discriminant(d):
 
 
 # ---------------------------------------------------------------------------
-# Quadrics and their duals
+# Quadrics: one Gram determinant per format
 # ---------------------------------------------------------------------------
 
 
-def _fraction_matrix(Q):
-    return [[Fraction(v) for v in row] for row in Q]
+def gram_det(M, rows):
+    """det(A M A^T) on the rows x m variable matrix A, for a square m x m M.
 
-
-def dual_quadric(Q):
-    """Dual of the smooth quadric x^T Q x = 0: the adjugate quadric a^T adj(Q) a."""
-    Q = _fraction_matrix(Q)
-    m = len(Q)
-    if any(len(row) != m for row in Q):
-        raise KEnergyError("quadric matrix must be square")
-    if any(Q[i][j] != Q[j][i] for i in range(m) for j in range(m)):
-        raise KEnergyError("quadric matrix must be symmetric")
-    one = Fraction(1)
-    if laplace_det(Q, one) == 0:
-        raise KEnergyError("variety not smooth: quadric matrix is singular")
-
-    def cofactor(i, j):
-        minor = [[Q[r][c] for c in range(m) if c != j] for r in range(m) if r != i]
-        return (-1) ** (i + j) * laplace_det(minor, one) if minor else one
-
-    # adj(Q)[i][j] is the (j, i) cofactor
-    return quadric_poly([[cofactor(j, i) for j in range(m)] for i in range(m)])
-
-
-def quadric_poly(Q):
-    """The quadric x^T Q x as a polynomial on the 1 x m variable matrix."""
-    Q = _fraction_matrix(Q)
-    m = len(Q)
-    terms = {}
-    for i in range(m):
-        for j in range(m):
-            if Q[i][j] == 0:
-                continue
-            exp = [0] * m
-            exp[i] += 1
-            exp[j] += 1
-            key = (tuple(exp),)
-            terms[key] = terms.get(key, Fraction(0)) + Q[i][j]
-    return MatrixPoly((1, m), {k: v for k, v in terms.items() if v})
-
-
-def cayley_hyperdet():
-    """Cayley's 2x2x2 hyperdeterminant on the 2x4 variable matrix.
-
-    Column index 2j+k of row i carries the tensor entry a[i][j][k]; the
-    classical polynomial has 4 square terms, 6 terms with coefficient -2 and
-    2 terms with coefficient +4.
+    With M = adj(S) for a smooth quadric X = {x^T S x = 0} in P^{m-1}, this
+    vanishes iff S is degenerate on the kernel of A, that is iff the linear
+    section of X cut by the rows of A is singular: it is the hyperdiscriminant
+    of format m - 1 - rows.  rows = 1 gives the dual quadric, rows = m - 1 the
+    Chow form (by complementary minors) and rows = 2 on the quadric surface
+    Cayley's 2x2x2 hyperdeterminant.
     """
-    shape = (2, 4)
-
-    def var(i, j, k):
-        return MatrixPoly.variable(shape, i, 2 * j + k)
-
-    a = {(i, j, k): var(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)}
-    squares = (
-        a[0, 0, 0] * a[0, 0, 0] * a[1, 1, 1] * a[1, 1, 1]
-        + a[0, 0, 1] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 0]
-        + a[0, 1, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 0, 1]
-        + a[0, 1, 1] * a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 0]
-    )
-    pairs = (
-        a[0, 0, 0] * a[0, 0, 1] * a[1, 1, 0] * a[1, 1, 1]
-        + a[0, 0, 0] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 1]
-        + a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 1]
-        + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 1] * a[1, 1, 0]
-        + a[0, 0, 1] * a[0, 1, 1] * a[1, 0, 0] * a[1, 1, 0]
-        + a[0, 1, 0] * a[0, 1, 1] * a[1, 0, 0] * a[1, 0, 1]
-    )
-    diagonals = (
-        a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
-        + a[0, 0, 1] * a[0, 1, 0] * a[1, 0, 0] * a[1, 1, 1]
-    )
-    return squares + pairs.scale(-2) + diagonals.scale(4)
-
-
-def generalized_cross(m):
-    """Signed maximal minors c_j of the (m-1) x m variable matrix.
-
-    The vector c satisfies A c = 0 row by row (x . c = det of x stacked on A),
-    so [c] is the common zero of the m-1 hyperplanes cut by the rows.
-    """
-    shape = (m - 1, m)
-    out = []
-    for j in range(m):
-        cols = [c for c in range(m) if c != j]
-        minor = [[MatrixPoly.variable(shape, r, c) for c in cols] for r in range(m - 1)]
-        out.append(laplace_det(minor, MatrixPoly.constant(shape, 1)).scale((-1) ** j))
-    return out
-
-
-def chow_form_hypersurface(q, rows):
-    """Chow form of the hypersurface q = 0: the quadric evaluated on the
-    generalized cross product of the frame rows.
-
-    q must be a homogeneous quadric on 1 x m variables and rows must be m-1;
-    the result is homogeneous of total degree 2(m-1) on the (m-1) x m matrix.
-    """
-    m = q.shape[1]
-    if q.shape[0] != 1 or q.homogeneous_degree() != 2:
-        raise KEnergyError("chow_form_hypersurface expects a homogeneous quadric")
-    if rows != m - 1:
-        raise KEnergyError(f"frame must have {m - 1} rows for a hypersurface in P^{m - 1}")
-    cross = generalized_cross(m)
-    out = MatrixPoly.zero((m - 1, m))
-    for exp, coeff in q.terms():
-        i, j = (c for c, e in enumerate(exp[0]) for _ in range(e))
-        out = out + (cross[i] * cross[j]).scale(coeff)
-    return out
+    m = len(M)
+    shape = (rows, m)
+    x = [[MatrixPoly.variable(shape, i, c) for c in range(m)] for i in range(rows)]
+    zero = MatrixPoly.zero(shape)
+    xm = [[sum((xi[a].scale(M[a][b]) for a in range(m) if M[a][b]), zero) for b in range(m)]
+          for xi in x]
+    gram = [[sum((u * v for u, v in zip(xmi, xj)), zero) for xj in x] for xmi in xm]
+    return laplace_det(gram, MatrixPoly.constant(shape, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +220,19 @@ def _rational_normal_curve_instance(d):
 
 def _quadric_surface_instance():
     data = VarietyData(n=2, N=3, d=2, mu=hypersurface_mu(2, 2), delta=0)
-    half = Fraction(1, 2)
-    Q = [[0, 0, 0, half], [0, 0, -half, 0], [0, -half, 0, 0], [half, 0, 0, 0]]
-    chow = normalize_scaling(chow_form_hypersurface(quadric_poly(Q), rows=3))
+    # 2(x0*x3 - x1*x2); this S is its own adjugate.  The r = 1 Gram
+    # determinant is minus Cayley's hyperdeterminant, whose largest
+    # coefficients (+4) share one sign, so normalize_scaling sees that sign;
+    # (-1)^r restores Cayley's and is +1 at r = 0, 2.
+    S = [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]
+    chow, hyper_1, hyper_2 = (
+        normalize_scaling(gram_det(S, r + 1).scale((-1) ** r)) for r in (2, 1, 0)
+    )
     return VarietyInstance(
         name="quadric_surface",
         data=data,
         parametrization=((0, 0), (1, 0), (0, 1), (1, 1)),
-        discriminants=DiscriminantSet(
-            chow=chow,
-            hyper={
-                1: normalize_scaling(cayley_hyperdet()),
-                2: normalize_scaling(dual_quadric(Q)),
-            },
-        ),
+        discriminants=DiscriminantSet(chow=chow, hyper={1: hyper_1, 2: hyper_2}),
     )
 
 

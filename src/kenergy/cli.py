@@ -318,6 +318,8 @@ def cmd_numeric(args):
                   "chernNumber": report.chern_number,
                   "mu1Exact": str(instance.data.mu[1])}
     elif args.check == "gauss-bonnet":
+        if args.trials < 1:
+            raise KEnergyError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.default_rng(args.seed)
         values = [
             num.gauss_bonnet(instance, energy_mod.random_sl(instance.N + 1, rng), spec)

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from kenergy.asymptotics import slope_fit, slope_integer, stability_scan
-from kenergy.catalog import build_instance, cayley_hyperdet, dual_quadric
+from kenergy.catalog import build_instance
 from kenergy.chern import derive_jet_top_chern, jet_top_chern_closed_form, rational_curve_profile
 from kenergy.energy import (
     build_pair_vectors,
@@ -48,10 +48,11 @@ def test_criterion_02_degree_oracles(quadric_surface):
     for d in range(2, 7):
         data = VarietyData(n=1, N=d, d=d, mu=rational_curve_profile(d))
         assert hyperdiscriminant_degree(data, 1) == 2 * d - 2
+    hyper = quadric_surface.discriminants.hyper
     assert hyperdiscriminant_degree(quadric_surface.data, 1) == 4
-    assert cayley_hyperdet().homogeneous_degree() == 4
+    assert hyper[1].homogeneous_degree() == 4
     assert hyperdiscriminant_degree(quadric_surface.data, 2) == 2
-    assert dual_quadric([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).homogeneous_degree() == 2
+    assert hyper[2].homogeneous_degree() == 2
     for data in (VarietyData(n=1, N=2, d=2, mu=rational_curve_profile(2)),
                  VarietyData(n=1, N=5, d=5, mu=rational_curve_profile(5)),
                  quadric_surface.data):

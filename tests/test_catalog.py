@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -6,12 +7,9 @@ import pytest
 from kenergy.catalog import (
     binary_discriminant,
     build_instance,
-    cayley_hyperdet,
-    chow_form_hypersurface,
-    dual_quadric,
+    gram_det,
     load_instance,
     normalize_scaling,
-    quadric_poly,
     save_instance,
     sylvester_resultant,
     validate_instance,
@@ -120,11 +118,20 @@ def test_binary_discriminant_detects_double_roots():
     assert evaluate(disc, [[30, 19, -17, 5, 1]]) != 0
 
 
-# -- dual quadrics --
+# -- quadrics: Gram determinants --
+
+# adj(S) up to a positive scalar for the conic x0*x2 = x1^2 (S = [[0,0,1/2],
+# [0,-1,0],[1/2,0,0]]); the quadric surface's S = antidiag(1,-1,-1,1) is its
+# own adjugate.
+CONIC_ADJ = [[0, 0, 2], [0, -1, 0], [2, 0, 0]]
+
+
+def frac(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def test_dual_quadric_round_conic():
-    dual = dual_quadric([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    dual = gram_det([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 1)
     shape = (1, 3)
     expected = sum(
         (MatrixPoly.variable(shape, 0, c) ** 2 for c in range(3)),
@@ -133,42 +140,50 @@ def test_dual_quadric_round_conic():
     assert dual == expected
 
 
-def test_dual_quadric_of_parametrized_conic():
-    half = Fraction(1, 2)
-    dual = dual_quadric([[0, 0, half], [0, -1, 0], [half, 0, 0]])
+def test_dual_quadric_of_parametrized_conic(conic):
+    # two independent constructions of the conic's discriminant
+    dual = gram_det(CONIC_ADJ, 1)
     shape = (1, 3)
     a0 = MatrixPoly.variable(shape, 0, 0)
     a1 = MatrixPoly.variable(shape, 0, 1)
     a2 = MatrixPoly.variable(shape, 0, 2)
-    assert is_scalar_multiple(dual, (a0 * a2).scale(4) - a1 * a1)
+    assert dual == (a0 * a2).scale(4) - a1 * a1
+    assert is_scalar_multiple(dual, binary_discriminant(2))
+    assert is_scalar_multiple(dual, conic.discriminants.hyper[1])
 
 
-def test_dual_quadric_of_segre_quadric():
-    half = Fraction(1, 2)
-    Q = [[0, 0, 0, half], [0, 0, -half, 0], [0, -half, 0, 0], [half, 0, 0, 0]]
-    dual = dual_quadric(Q)
+def test_dual_quadric_of_segre_quadric(quadric_surface):
+    dual = quadric_surface.discriminants.hyper[2]
     shape = (1, 4)
     a = [MatrixPoly.variable(shape, 0, c) for c in range(4)]
     assert is_scalar_multiple(dual, a[0] * a[3] - a[1] * a[2])
 
 
-def test_dual_quadric_rejects_singular():
-    with pytest.raises(KEnergyError, match="not smooth"):
-        dual_quadric([[1, 0], [0, 0]])
+# -- Cayley hyperdeterminant: the stored format-1 polynomial of the surface --
+# The stored hyper[1] is Cayley's hyperdeterminant divided by 4; the 2x4
+# variable matrix carries the tensor entry a[i][j][k] in row i, column 2j+k.
 
 
-# -- Cayley hyperdeterminant --
+def cayley_by_slices(a):
+    """b^2 - 4ac of det(s*A0 + t*A1) = a*s^2 + b*s*t + c*t^2, with the slices
+    A_i[j][k] = a[i][2j+k]; only 2x2 determinants of numbers."""
+    def det2(m):
+        return m[0] * m[3] - m[1] * m[2]
+
+    lead, tail = det2(a[0]), det2(a[1])
+    mid = det2([x + y for x, y in zip(a[0], a[1])]) - lead - tail
+    return mid * mid - 4 * lead * tail
 
 
-def test_cayley_hyperdet_coefficient_profile():
-    det = cayley_hyperdet()
+def test_cayley_hyperdet_coefficient_profile(quadric_surface):
+    det = quadric_surface.discriminants.hyper[1].scale(4)
     coeffs = sorted(int(c) for _, c in det.terms())
     assert coeffs == [-2] * 6 + [1] * 4 + [4] * 2
     assert det.homogeneous_degree() == 4
 
 
-def test_cayley_hyperdet_evaluations():
-    det = cayley_hyperdet()
+def test_cayley_hyperdet_evaluations(quadric_surface):
+    det = quadric_surface.discriminants.hyper[1].scale(4)
     diag = [[1, 0, 0, 0], [0, 0, 0, 1]]  # a000 = a111 = 1
     assert evaluate(det, diag) == 1
     rank_one = [[1, 0, 0, 0], [0, 0, 0, 0]]
@@ -177,10 +192,10 @@ def test_cayley_hyperdet_evaluations():
     assert evaluate(det, ones) == 0
 
 
-def test_cayley_hyperdet_vanishes_on_decomposables():
+def test_cayley_hyperdet_vanishes_on_decomposables(quadric_surface):
     # tensors u x v x w are in every secant-deficient stratum of the dual
     rng = seeded(31)
-    det = cayley_hyperdet()
+    det = quadric_surface.discriminants.hyper[1]
     for _ in range(20):
         u = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
         v = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
@@ -189,18 +204,61 @@ def test_cayley_hyperdet_vanishes_on_decomposables():
         assert evaluate(det, a) == 0
 
 
+def test_quadric_surface_stores_hyperdet(quadric_surface):
+    det = quadric_surface.discriminants.hyper[1]
+    rng = seeded(53)
+    nonzero = 0
+    for _ in range(40):
+        a = [[frac(rng) for _ in range(4)] for _ in range(2)]
+        expected = cayley_by_slices(a)
+        assert 4 * evaluate(det, a) == expected
+        nonzero += expected != 0
+    assert nonzero >= 30
+
+
 # -- Chow forms --
 
 
+def cross_product(frame):
+    """Signed maximal minors c_j of a 3 x 4 matrix of numbers: frame c = 0."""
+    def det3(m):
+        return sum(
+            (-1) ** (p in ((0, 2, 1), (1, 0, 2), (2, 1, 0))) * m[0][p[0]] * m[1][p[1]] * m[2][p[2]]
+            for p in itertools.permutations(range(3))
+        )
+
+    return [(-1) ** j * det3([[row[c] for c in range(4) if c != j] for row in frame]) for j in range(4)]
+
+
 def test_conic_chow_form_examples(conic):
-    q = quadric_poly([[0, 0, Fraction(1, 2)], [0, -1, 0], [Fraction(1, 2), 0, 0]])
-    chow = chow_form_hypersurface(q, rows=2)
-    # the cross product of x0*x2 - x1^2 is an oracle for the stored resultant
+    chow = gram_det(CONIC_ADJ, 2)
+    f0 = [MatrixPoly.variable((2, 3), 0, c) for c in range(3)]
+    f1 = [MatrixPoly.variable((2, 3), 1, c) for c in range(3)]
+    # the Gram determinant and the Sylvester resultant are independent constructions
+    assert is_scalar_multiple(chow, sylvester_resultant(f0, f1))
     assert is_scalar_multiple(chow, conic.discriminants.chow)
     assert chow.homogeneous_degree() == 4
     assert evaluate(chow, [[1, 0, 0], [0, 1, 0]]) == 0
-    assert evaluate(chow, [[1, 0, 0], [0, 0, 1]]) == -1
+    assert evaluate(chow, [[1, 0, 0], [0, 0, 1]]) == -4  # det [[0, 2], [2, 0]]
     assert evaluate(chow, [[1, 2, 3], [2, 4, 6]]) == 0  # rank deficient
+
+
+def test_quadric_surface_chow_is_the_quadric_on_the_cross_product(quadric_surface):
+    chow = quadric_surface.discriminants.chow
+    rng = seeded(59)
+    ratio = None
+    for _ in range(30):
+        frame = [[frac(rng) for _ in range(4)] for _ in range(3)]
+        c = cross_product(frame)
+        assert all(sum(x * y for x, y in zip(row, c)) == 0 for row in frame)
+        on_quadric = c[0] * c[3] - c[1] * c[2]
+        value = evaluate(chow, frame)
+        if on_quadric == 0:
+            assert value == 0
+            continue
+        ratio = ratio if ratio is not None else value / on_quadric
+        assert value == ratio * on_quadric
+    assert ratio
 
 
 def test_conic_chow_vanishes_iff_frame_meets_curve():
@@ -297,10 +355,6 @@ def test_build_time_degree_invariants(conic, twisted_cubic, quadric_surface):
         for i, poly in instance.discriminants.hyper.items():
             assert poly.homogeneous_degree() == hyperdiscriminant_degree(data, i)
         assert validate_instance(instance)
-
-
-def test_quadric_surface_stores_hyperdet(quadric_surface):
-    assert is_scalar_multiple(quadric_surface.discriminants.hyper[1], cayley_hyperdet())
 
 
 def test_conic_is_the_rational_normal_curve_of_degree_two(conic):

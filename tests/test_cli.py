@@ -253,6 +253,10 @@ REJECTED = {
                                   "--mu", "1,x", "--k", "1"),
     "degrees-mu-zero-denominator": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
                                     "--mu", "1,1/0", "--k", "1"),
+    "gauss-bonnet-zero-trials": ("numeric", "--instance", "{conic}", "--check", "gauss-bonnet",
+                                 "--trials", "0"),
+    "gauss-bonnet-negative-trials": ("numeric", "--instance", "{conic}", "--check",
+                                     "gauss-bonnet", "--trials=-2"),
     "catalog-argument-not-integer": ("catalog", "build", "rational_normal_curve(abc)",
                                      "--out", "{tmp}/rnc"),
     "sigma-not-json": ("energy", "--instance", "{conic}", "--k", "1",
