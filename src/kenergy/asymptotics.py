@@ -5,9 +5,9 @@ Along lambda(t) the energy expands as A_k log|t|^2 + O(1) with the integer
 slope A_k = w(v_k) - w(w_k) = sum_i c_i w(Delta_i): the minimal monomial
 weights w of the stored polynomials (i = 0 the Chow form) combined with the
 coefficient vector c of `energy.energy_coefficients`.  A weight reads only
-the few distinct column-degree vectors of a polynomial
-(`pairing.column_degrees`), so the scan is one integer matrix product per
-polynomial over all weight vectors at once.  M_k is bounded below
+the few distinct column-degree vectors of a polynomial (`pairing.weight_classes`),
+so the scan is one integer matrix product per polynomial over all weight
+vectors at once.  M_k is bounded below
 along lambda as |t| -> 0 iff A_k <= 0, so the scan verdict reports the maximal
 slope over all enumerated subgroups.  These are the integer subgroups of the
 coordinate torus (diagonal in the stored coordinates); the verdict says
@@ -24,7 +24,7 @@ import numpy as np
 
 from .energy import combine, energy_coefficients
 from .errors import KEnergyError
-from .pairing import OneParamSubgroup, column_degrees, diagonal_log_ratio, min_weight
+from .pairing import OneParamSubgroup, diagonal_log_ratio, min_weight, weight_classes
 
 
 def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
@@ -70,17 +70,19 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     """Least-squares slope of M_k(lambda(t)) against log|t|^2.
 
     Sample magnitudes must lie in (0, 1); at least 4 are required.  Each
-    log-norm ratio is read from the column log scales a_j log t through the
-    log-stable weighted norm, with no group element formed, so t^a_j may
-    lie far outside the float range.
+    class chi of the k + 1 weight-class tables, built once, scales by
+    |t|^(2 <chi, a>) with <chi, a> an exact integer (0 along an automorphism)
+    and t^a_j never formed, so t^a_j may lie far outside the float range.
     """
     samples = tuple(float(t) for t in samples)
     if len(samples) < 4:
         raise KEnergyError("slope fit needs at least 4 sample magnitudes")
     a_k = slope_integer(instance, k, lam)
+    weights = np.array(lam.weights, dtype=float)[:, None]
+    tables = [(degrees @ weights, logs) for degrees, logs in
+              (weight_classes(instance.polynomial(i)) for i in range(k + 1))]
     slope, residual, values = fit_log_slope(samples, lambda t: combine(
-        instance, k, lambda i: diagonal_log_ratio(
-            instance.polynomial(i), [a * math.log(t) for a in lam.weights])).total)
+        instance, k, lambda i: diagonal_log_ratio(tables[i], [math.log(t)])).total)
     return SlopeReport(
         lam=lam,
         a_k=a_k,
@@ -99,9 +101,9 @@ def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
 
 def weight_vectors(ncoords, bound):
     """Integer vectors with entries in [-bound, bound] summing to zero, in
-    lexicographic order."""
-    if bound < 0:
-        raise KEnergyError("weight bound must be nonnegative")
+    lexicographic order; at bound 0 only lambda = 0 would be scanned."""
+    if bound < 1:
+        raise KEnergyError(f"weight bound must be at least 1, got {bound}")
     return [vec for vec in product(range(-bound, bound + 1), repeat=ncoords) if sum(vec) == 0]
 
 
@@ -120,13 +122,13 @@ def stability_scan(instance, k, bound) -> ScanReport:
     """Maximal A_k over the coordinate-torus subgroups at the given weight
     bound; ties go to the lexicographically first weight vector.
 
-    With the weight vectors as the rows of V and D_i the distinct column
-    degrees of Delta_i, the slopes are sum_i c_i min(V D_i^T) row by row.
+    With the weight vectors as the rows of V and D_i the weight classes of
+    Delta_i, the slopes are sum_i c_i min(V D_i^T) row by row.
     """
     vectors = weight_vectors(instance.N + 1, bound)
     V = np.array(vectors, dtype=np.int64)
     slopes = sum(
-        c * (V @ column_degrees(instance.polynomial(i)).T).min(axis=1)
+        c * (V @ weight_classes(instance.polynomial(i))[0].T).min(axis=1)
         for i, c in enumerate(energy_coefficients(instance, k))
     )
     worst = int(np.argmax(slopes))  # the first maximum, so the lexicographic tie rule

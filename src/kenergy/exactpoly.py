@@ -263,16 +263,6 @@ def fraction_str(f: Fraction) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def column_degree(exp):
-    """Column-degree vector of a single exponent matrix."""
-    cols = len(exp[0])
-    out = [0] * cols
-    for row in exp:
-        for c, e in enumerate(row):
-            out[c] += e
-    return tuple(out)
-
-
 def laplace_det(rows, one):
     """Determinant of a nonempty square matrix over any exact ring.
 

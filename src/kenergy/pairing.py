@@ -1,20 +1,23 @@
 """Factorial-weighted norms, group bookkeeping and weights.
 
 The squared norm of a polynomial is sum |c_alpha|^2 / alpha! with alpha! the
-product of factorials of all matrix-entry exponents.  Log-norms are always
-evaluated in floating point with max-term factoring (a log-sum-exp), so
-one-parameter degenerations down to |t| ~ 1e-300 stay finite.  Everything
-here is per stored polynomial; kenergy.energy combines the values with
-integer coefficients, so the tensors of the pair (v_k, w_k) are never formed.
-A log-norm ratio is computed afresh at each call: a diagonal sigma through
-column log scales, an exact one through `exactpoly.right_substitute`, a
-floating one on the dense lane (`dense_form`), where sigma acts on each row's
-mode through Sym^d(sigma); only integer index tables are memoized.
+product of factorials of all matrix-entry exponents; over the torus it splits
+as |diag(t) . p|^2 = sum_chi N_chi |t|^(2 chi), chi running over p's distinct
+column-degree vectors.  Every sparse norm, diagonal ratio and weight reads
+that table (`weight_classes`).  Log-norms are evaluated in floating point with
+max-term factoring (a log-sum-exp), so one-parameter degenerations down to
+|t| ~ 1e-300 stay finite.  Everything here is per stored polynomial;
+kenergy.energy combines the values with integer coefficients, so the tensors
+of the pair (v_k, w_k) are never formed.  A log-norm ratio is computed afresh
+at each call: a diagonal sigma from the weight-class table, an exact one
+through `exactpoly.right_substitute`, a floating one on the dense lane
+(`dense_form`), where sigma acts on each row's mode through Sym^d(sigma);
+only integer index tables are memoized.
 
 The weight of a monomial under an integer one-parameter subgroup is the dot
 product of its column-degree vector with the weights; the asymptotic slope of
-log |lambda(t) p|^2 against log|t|^2 as |t| -> 0 is the MINIMUM such weight,
-because the smallest power of |t| dominates.
+log |lambda(t) p|^2 against log|t|^2 as |t| -> 0 is the MINIMUM such weight
+over the classes, because the smallest power of |t| dominates.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .errors import KEnergyError, ShapeMismatchError, ZeroPolynomialError
 from .exactpoly import (
     MatrixPoly,
     as_coefficient,
-    coeff_abs_sq,
-    column_degree,
     laplace_det,
     right_substitute,
 )
@@ -157,23 +158,20 @@ class OneParamSubgroup:
 # ---------------------------------------------------------------------------
 
 
-def _log_factorial_weight(exp):
-    return sum(math.lgamma(e + 1) for row in exp for e in row if e)
+def weight_classes(p: MatrixPoly):
+    """The torus table (D, L) of p: D holds the distinct column-degree vectors
+    of p's terms as int64 rows, sorted; L[i] is the log squared norm of p's
+    weight-D[i] part, so |diag(t) . p|^2 = sum_i exp(L[i]) prod_c |t_c|^(2 D[i, c]).
 
-
-def log_fs_norm_sq(p: MatrixPoly, column_log_scale=None) -> float:
-    """log of the squared factorial-weighted norm, via max-term factoring.
-
-    column_log_scale optionally adds sum_c coldeg_c * 2*log|t_c| per term,
-    the stable evaluation of a diagonal substitution without forming it.
+    One walk over the terms, then max-term factoring per class, not by one
+    maximum: a class negligible at t = 1 may dominate at |t| ~ 1e-300.
     """
     if p.is_zero:
         raise ZeroPolynomialError("norm of the zero polynomial")
-    logs = []
+    exps, logs = [], []
     for exp, coeff in p.term_dict().items():
         if isinstance(coeff, Fraction):
-            sq = coeff_abs_sq(coeff)
-            ll = math.log(sq.numerator) - math.log(sq.denominator)
+            logs.append(2.0 * (math.log(abs(coeff.numerator)) - math.log(coeff.denominator)))
         else:
             size = abs(coeff)  # log|c|^2 as 2 log|c|: |c|^2 overflows from |c| ~ 1e154
             if not math.isfinite(size):
@@ -181,17 +179,27 @@ def log_fs_norm_sq(p: MatrixPoly, column_log_scale=None) -> float:
                                    "(integer or rational strings) to use the exact lane")
             if size == 0.0:
                 continue
-            ll = 2.0 * math.log(size)
-        ll -= _log_factorial_weight(exp)
-        if column_log_scale is not None:
-            ll += sum(
-                2.0 * d * s for d, s in zip(column_degree(exp), column_log_scale) if d
-            )
-        logs.append(ll)
-    if not logs:
+            logs.append(2.0 * math.log(size))
+        exps.append(exp)
+    if not exps:
         raise ZeroPolynomialError("norm of a numerically zero polynomial")
-    top = max(logs)
-    return top + math.log(sum(math.exp(v - top) for v in logs))
+    exps = np.array(exps, dtype=np.int64)
+    log_factorial = np.array([math.lgamma(e + 1) for e in range(exps.max() + 1)])
+    logs = np.array(logs) - log_factorial[exps].sum(axis=(1, 2))
+    degrees, which = np.unique(exps.sum(axis=1), axis=0, return_inverse=True)
+    top = np.full(len(degrees), -np.inf)
+    np.maximum.at(top, which, logs)
+    return degrees, top + np.log(np.bincount(which, np.exp(logs - top[which]), len(degrees)))
+
+
+def _log_sum_exp(logs) -> float:
+    top = logs.max()
+    return float(top + math.log(np.exp(logs - top).sum()))
+
+
+def log_fs_norm_sq(p: MatrixPoly) -> float:
+    """log of the squared norm: the log-sum-exp of the class norms."""
+    return _log_sum_exp(weight_classes(p)[1])
 
 
 def fs_norm_sq(p: MatrixPoly) -> float:
@@ -204,9 +212,14 @@ def fs_norm_sq(p: MatrixPoly) -> float:
         raise KEnergyError(f"squared norm exp({log_norm!r}) exceeds the float range") from None
 
 
-def diagonal_log_ratio(p: MatrixPoly, column_log_scale) -> float:
-    """log ( |t . p|^2 / |p|^2 ) for the diagonal t with log|t_c| given per column."""
-    return log_fs_norm_sq(p, column_log_scale) - log_fs_norm_sq(p)
+def diagonal_log_ratio(classes, column_log_scale) -> float:
+    """log ( |t . p|^2 / |p|^2 ) for the diagonal t with log|t_c| given per
+    column, from p's table classes = (D, L) of `weight_classes`: the class
+    norms scale by |t|^(2 D[i]), with no group element formed, so t may lie
+    far outside the float range.  Exactly 0.0 when every log|t_c| is 0."""
+    degrees, logs = classes
+    shift = degrees @ np.asarray(column_log_scale, dtype=float)
+    return _log_sum_exp(logs + 2.0 * shift) - _log_sum_exp(logs)
 
 
 def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
@@ -218,8 +231,8 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
             f"group element of size {sigma.size} acts on {p.shape[1]} columns"
         )
     if sigma.is_diagonal:
-        return diagonal_log_ratio(
-            p, [math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)])
+        return diagonal_log_ratio(weight_classes(p), [
+            math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)])
     if sigma.exact:
         return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
     form = dense_form(p)
@@ -328,14 +341,9 @@ def moment_matrix(form, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def column_degrees(p: MatrixPoly) -> np.ndarray:
-    """The distinct column-degree vectors of p's terms, one int64 row each."""
-    exps = np.array(list(p.term_dict()), dtype=np.int64).reshape(-1, *p.shape)
-    return np.unique(exps.sum(axis=1), axis=0)
-
-
 def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
-    """Minimum over terms of <column-degree vector, weights> (the |t| -> 0 slope)."""
+    """Minimum over p's weight classes of <column-degree vector, weights>
+    (the |t| -> 0 slope)."""
     if p.is_zero:
         raise ZeroPolynomialError("weight of the zero polynomial")
     weights = lam.weights
@@ -344,4 +352,4 @@ def min_weight(lam: OneParamSubgroup, p: MatrixPoly) -> int:
             f"one-parameter subgroup has {len(weights)} weights for {p.shape[1]} columns"
         )
     # object entries keep exact Python integers: user weights may exceed int64
-    return int((column_degrees(p) @ np.array(weights, dtype=object)).min())
+    return int((weight_classes(p)[0] @ np.array(weights, dtype=object)).min())

@@ -9,6 +9,8 @@ route, and is used only by tests:
 - `fs_norm_sq_exact` and `fs_inner`: the factorial-weighted norm and inner
   product in exact rational or plain floating arithmetic, for the log-sum-exp
   norms of `kenergy.pairing` and the moment matrices of `kenergy.energy`.
+- `weight_class_norms`: the exact norm of each column-degree part, for the
+  weight-class table `kenergy.pairing.weight_classes`.
 - `bergman_metric` and `chern1_density`: the metric coefficient h(z) from the
   z-derivative of the sections by the Lagrange identity, and its curvature by
   a finite-difference Laplacian in z, for the closed-form Pluecker densities
@@ -66,6 +68,19 @@ def fs_norm_sq_exact(p: MatrixPoly) -> Fraction:
                     w *= math.factorial(e)
         total += coeff * coeff / w
     return total
+
+
+def weight_class_norms(p: MatrixPoly) -> dict:
+    """{column-degree vector: exact squared norm of p's part of that degree},
+    summed term by term (exact polynomials only)."""
+    classes = {}
+    for exp, coeff in p.term_dict().items():
+        if not isinstance(coeff, Fraction):
+            raise KEnergyError("exact class norms require exact coefficients")
+        degree = tuple(sum(row[c] for row in exp) for c in range(p.shape[1]))
+        w = math.prod(math.factorial(e) for row in exp for e in row)
+        classes[degree] = classes.get(degree, Fraction(0)) + coeff * coeff / w
+    return classes
 
 
 def fs_inner(p: MatrixPoly, q: MatrixPoly) -> complex:

@@ -164,10 +164,10 @@ def test_scan_quadric(quadric_surface):
 
 
 def test_scan_trivial_bound(conic):
-    report = stability_scan(conic, 1, 0)
-    assert report.n_evaluated == 1
-    assert report.max_slope == 0
-    assert not report.destabilizer_found
+    # at bound 0 the only weight vector is lambda = 0: a scan of nothing
+    for bound in (0, -1):
+        with pytest.raises(KEnergyError, match="at least 1"):
+            stability_scan(conic, 1, bound)
 
 
 @pytest.mark.parametrize("name,k,bound", [

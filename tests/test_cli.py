@@ -249,6 +249,7 @@ REJECTED = {
                                "--lambda", "2,-1,-1", "--fit", "0.1,0.1,0.1,0.1"),
     "slope-samples-spread-too-large": ("numeric", "--instance", "{conic}", "--check", "slope",
                                        "--xi=2,-1,-1", "--samples", "1e-1:1e-100:3"),
+    "scan-bound-zero": ("scan", "--instance", "{conic}", "--k", "1", "--bound", "0"),
     "degrees-mu-not-a-fraction": ("degrees", "--n", "1", "--N", "2", "--deg", "2",
                                   "--mu", "1,x", "--k", "1"),
     "degrees-mu-zero-denominator": ("degrees", "--n", "1", "--N", "2", "--deg", "2",

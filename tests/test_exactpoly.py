@@ -7,11 +7,11 @@ from kenergy.catalog import build_instance
 from kenergy.errors import ShapeMismatchError
 from kenergy.exactpoly import (
     MatrixPoly,
-    column_degree,
     laplace_det,
     lie_derivative,
     right_substitute,
 )
+from kenergy.pairing import weight_classes
 
 from conftest import random_exact_poly, random_rational_sl, seeded
 from oracles import evaluate
@@ -239,7 +239,7 @@ def test_ring_axioms_seeded():
 
 
 def column_degrees(p):
-    return {column_degree(exp) for exp in p.term_dict()}
+    return {tuple(row) for row in weight_classes(p)[0].tolist()}
 
 
 def test_column_degrees(conic_disc):

@@ -22,10 +22,11 @@ from kenergy.pairing import (
     min_weight,
     moment_matrix,
     sym_powers,
+    weight_classes,
 )
 
 from conftest import random_exact_poly, random_float_sl, seeded
-from oracles import fs_inner, fs_norm_sq_exact
+from oracles import fs_inner, fs_norm_sq_exact, weight_class_norms
 
 SHAPE = (1, 3)
 
@@ -100,6 +101,42 @@ def test_log_ratio_invariant_under_rescaling(conic_disc):
     sigma = GroupElement.diagonal([2, 2, Fraction(1, 4)])
     scaled = conic_disc.scale(Fraction(-9, 5))
     assert abs(log_norm_ratio(sigma, scaled) - log_norm_ratio(sigma, conic_disc)) < 1e-12
+
+
+def test_weight_classes_against_the_exact_oracle():
+    # every stored polynomial of four catalog varieties, and seeded random ones:
+    # the class matrix is the oracle's set of column degrees, each class norm
+    # is within 1e-12 relative of the exact one, and the class norms sum to |p|^2
+    polys = []
+    for name in ("conic", "rational_normal_curve(3)", "rational_normal_curve(5)",
+                 "quadric_surface"):
+        instance = build_instance(name)
+        polys += [instance.polynomial(i) for i in range(instance.n + 1)]
+    rng = seeded(40)
+    polys += [random_exact_poly((2, 3), rng, max_terms=8, max_exp=3) for _ in range(20)]
+    for p in polys:
+        want = weight_class_norms(p)
+        degrees, logs = weight_classes(p)
+        assert degrees.dtype == np.int64
+        assert [tuple(row) for row in degrees.tolist()] == sorted(want)
+        for row, log_norm in zip(degrees.tolist(), logs):
+            exact = want[tuple(row)]
+            assert abs(math.exp(log_norm) - exact) <= 1e-12 * exact
+        assert sum(want.values()) == fs_norm_sq_exact(p)
+
+
+def test_diagonal_ratio_factors_each_class_on_its_own():
+    # x0^2 + 1e-200 x2^2 under diag(1e-120, 1, 1e120): the x2^2 class is
+    # negligible at the identity and dominant at sigma, so scaling both classes
+    # by one maximum would lose it (about -1105 instead of 80 log 10)
+    p = var(0) ** 2 + (var(2) ** 2).scale(Fraction(1, 10**200))
+    t = Fraction(1, 10**120)
+    sigma = GroupElement.diagonal([t, 1, 1 / t])
+    half, tiny = Fraction(1, 2), Fraction(1, 10**400)
+    ratio = (half * t**4 + half * tiny * t**-4) / (half + half * tiny)
+    want = math.log(ratio.numerator) - math.log(ratio.denominator)
+    assert abs(want - 184.20680743952) <= 1e-12 * want
+    assert abs(log_norm_ratio(sigma, p) - want) <= 1e-12 * want
 
 
 def test_min_weight_examples(conic_disc):

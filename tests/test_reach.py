@@ -3,6 +3,7 @@
 import inspect
 import sys
 
+import kenergy.asymptotics
 import kenergy.catalog
 from kenergy.cli import main
 
@@ -56,3 +57,17 @@ def test_catalog_builds_reach_every_catalog_function(tmp_path, capsys):
     assert "gram_det" in defined and "VarietyInstance.polynomial" in defined
     missed = sorted(name for name, code in defined.items() if code not in seen)
     assert not missed, f"catalog functions no catalog build enters: {missed}"
+
+
+def test_scan_and_fit_reach_every_asymptotics_function(tmp_path, capsys):
+    assert main(["catalog", "build", "conic", "--out", str(tmp_path)]) == 0
+    seen = entered_code(
+        ("scan", "--instance", str(tmp_path), "--k", "1", "--bound", "2"),
+        ("asymptotics", "--instance", str(tmp_path), "--k", "1", "--lambda", "2,-1,-1",
+         "--fit", "1e-1:1e-5:5"),
+    )
+    capsys.readouterr()
+    defined = defined_code(kenergy.asymptotics)
+    assert "stability_scan" in defined and "fit_log_slope" in defined
+    missed = sorted(name for name, code in defined.items() if code not in seen)
+    assert not missed, f"asymptotics functions neither scan nor a fit enters: {missed}"
