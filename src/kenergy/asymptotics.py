@@ -3,11 +3,13 @@ fits, and the torus boundedness scan.
 
 Along lambda(t) the energy expands as A_k log|t|^2 + O(1) with the integer
 slope A_k = w(v_k) - w(w_k) = sum_i c_i w(Delta_i): the minimal monomial
-weights w of the stored polynomials (i = 0 the Chow form) combined with the
-coefficient vector c of `energy.energy_coefficients`.  A weight reads only
-the few distinct column-degree vectors of a polynomial (`pairing.weight_classes`),
-so the scan is one integer matrix product per polynomial over all weight
-vectors at once.  M_k is bounded below
+weights w of the stored polynomials (i = 0 the Chow form) netted by
+`energy.energy_sum` with the coefficient vector c.  The slope, the slope fit
+and the scan are each that one sum over per-polynomial values.  A weight reads
+only the few distinct column-degree vectors of a polynomial
+(`pairing.weight_classes`), so the scan is one integer matrix product per
+polynomial over all weight vectors at once, and a fit reads A_k and every
+sampled energy from the k + 1 tables it builds.  M_k is bounded below
 along lambda as |t| -> 0 iff A_k <= 0, so the scan verdict reports the maximal
 slope over all enumerated subgroups.  These are the integer subgroups of the
 coordinate torus (diagonal in the stored coordinates); the verdict says
@@ -22,17 +24,14 @@ from itertools import product
 
 import numpy as np
 
-from .energy import combine, energy_coefficients
-from .errors import KEnergyError
+from .energy import energy_sum
+from .errors import KEnergyError, ShapeMismatchError
 from .pairing import OneParamSubgroup, diagonal_log_ratio, min_weight, weight_classes
 
 
 def slope_integer(instance, k, lam: OneParamSubgroup) -> int:
     """A_k(lambda) = sum_i c_i w_lambda(Delta_i), exact."""
-    return sum(
-        c * min_weight(lam, instance.polynomial(i))
-        for i, c in enumerate(energy_coefficients(instance, k))
-    )
+    return energy_sum(instance, k, lambda i: min_weight(lam, instance.polynomial(i)))
 
 
 def fit_log_slope(samples, value):
@@ -69,20 +68,30 @@ class SlopeReport:
 def slope_fit(instance, k, lam: OneParamSubgroup, samples) -> SlopeReport:
     """Least-squares slope of M_k(lambda(t)) against log|t|^2.
 
-    Sample magnitudes must lie in (0, 1); at least 4 are required.  Each
-    class chi of the k + 1 weight-class tables, built once, scales by
-    |t|^(2 <chi, a>) with <chi, a> an exact integer (0 along an automorphism)
-    and t^a_j never formed, so t^a_j may lie far outside the float range.
+    Sample magnitudes must lie in (0, 1); at least 4 are required.  The
+    k + 1 weight-class tables are built once and give A_k as well: each class
+    chi scales by |t|^(2 <chi, a>) with <chi, a> an exact integer (0 along an
+    automorphism) and t^a_j never formed, so t^a_j may lie far outside the
+    float range.
     """
     samples = tuple(float(t) for t in samples)
     if len(samples) < 4:
         raise KEnergyError("slope fit needs at least 4 sample magnitudes")
-    a_k = slope_integer(instance, k, lam)
-    weights = np.array(lam.weights, dtype=float)[:, None]
-    tables = [(degrees @ weights, logs) for degrees, logs in
-              (weight_classes(instance.polynomial(i)) for i in range(k + 1))]
-    slope, residual, values = fit_log_slope(samples, lambda t: combine(
-        instance, k, lambda i: diagonal_log_ratio(tables[i], [math.log(t)])).total)
+    if len(lam.weights) != instance.N + 1:
+        raise ShapeMismatchError(f"one-parameter subgroup has {len(lam.weights)} weights "
+                                 f"for {instance.N + 1} columns")
+    exact = np.array(lam.weights, dtype=object)  # user weights may exceed int64
+    column = exact.astype(float)[:, None]
+    tables = []
+
+    def weight(i):  # builds table i on the way, in the order i = 0, ..., k
+        degrees, logs = weight_classes(instance.polynomial(i))
+        tables.append((degrees @ column, logs))
+        return int((degrees @ exact).min())
+
+    a_k = energy_sum(instance, k, weight)
+    slope, residual, values = fit_log_slope(samples, lambda t: energy_sum(
+        instance, k, lambda i: diagonal_log_ratio(tables[i], [math.log(t)])))
     return SlopeReport(
         lam=lam,
         a_k=a_k,
@@ -127,10 +136,8 @@ def stability_scan(instance, k, bound) -> ScanReport:
     """
     vectors = weight_vectors(instance.N + 1, bound)
     V = np.array(vectors, dtype=np.int64)
-    slopes = sum(
-        c * (V @ weight_classes(instance.polynomial(i))[0].T).min(axis=1)
-        for i, c in enumerate(energy_coefficients(instance, k))
-    )
+    slopes = energy_sum(instance, k, lambda i: (
+        V @ weight_classes(instance.polynomial(i))[0].T).min(axis=1))
     worst = int(np.argmax(slopes))  # the first maximum, so the lexicographic tie rule
     max_slope = int(slopes[worst])
     found = max_slope > 0

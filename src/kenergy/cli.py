@@ -185,10 +185,7 @@ def cmd_degrees(args):
 def cmd_derive_chern(args):
     derived = chern.derive_jet_top_chern(args.n, args.k)
     closed = chern.jet_top_chern_closed_form(args.n, args.k)
-    coeffs = [
-        {"i": key[0], "coefficient": str(c)}
-        for key, c in sorted(derived.coefficients.items())
-    ]
+    coeffs = [{"i": key[0], "coefficient": str(c)} for key, c in sorted(derived.items())]
     emit(
         {
             "config": {"subcommand": "derive-chern", "n": args.n, "k": args.k},
@@ -229,20 +226,21 @@ def cmd_weight(args):
 def cmd_energy(args):
     instance = cat.load_instance(args.instance)
     sigma = _load_sigma(args.sigma, size=instance.N + 1)
-    breakdown = energy_mod.energy_via_formula(instance, sigma, args.k)
-    result = {"Mk": breakdown.total, "k": args.k, "method": "formula"}
+    value = energy_mod.energy_via_formula(instance, sigma, args.k)
+    result = {"Mk": value.total, "k": args.k, "method": "formula"}
     if args.breakdown:
+        lr = value.ratios
         result["terms"] = [
             {
-                "i": t.i,
-                "coefficient": t.coefficient,
-                "degChow": t.deg_chow,
-                "degHyper": t.deg_hyper,
-                "lrHyper": t.value_hyper,
-                "lrChow": t.value_chow,
-                "contribution": t.contribution,
+                "i": i,
+                "coefficient": a,
+                "degChow": deg_chow,
+                "degHyper": deg_hyper,
+                "lrHyper": lr[i],
+                "lrChow": lr[0],
+                "contribution": a * (deg_chow * lr[i] - deg_hyper * lr[0]),
             }
-            for t in breakdown.terms
+            for i, a, deg_chow, deg_hyper in energy_mod.energy_terms(instance, args.k)
         ]
     identity_holds = True
     if args.cross_check:
@@ -266,15 +264,17 @@ def cmd_energy(args):
 def cmd_asymptotics(args):
     instance = cat.load_instance(args.instance)
     lam = OneParamSubgroup(_parse_list(args.lam, int, "integers"))
-    result = {"Ak": asym.slope_integer(instance, args.k, lam)}
     if args.fit:
         report = asym.slope_fit(instance, args.k, lam, _parse_samples(args.fit))
-        result["fitSlope"] = report.fit_slope
-        result["fitResidual"] = report.fit_residual
-        result["boundedBelow"] = report.bounded_below
-        result["rows"] = [
-            {"t": t, "Mk": v} for t, v in zip(report.samples, report.values)
-        ]
+        result = {
+            "Ak": report.a_k,
+            "fitSlope": report.fit_slope,
+            "fitResidual": report.fit_residual,
+            "boundedBelow": report.bounded_below,
+            "rows": [{"t": t, "Mk": v} for t, v in zip(report.samples, report.values)],
+        }
+    else:
+        result = {"Ak": asym.slope_integer(instance, args.k, lam)}
     emit(
         {
             "config": {"subcommand": "asymptotics", "instance": args.instance,

@@ -6,16 +6,17 @@ With LR(P) = log(|sigma.P|^2/|P|^2) the log-norm ratio of a stored polynomial,
   M_k(sigma) = sum_{i=1}^{k} (-1)^{i+1} C(n-i, n-k)
                    [ deg(R) LR(Delta^(n-i)) - deg(Delta^(n-i)) LR(R) ]
 
-with R = Delta^(n) the Chow form.  `combine` states this combination once,
-over any per-polynomial value: log-norm ratios give the energy, moment
-matrices its gradient, minimal weights the slope A_k, and unit integers the
-vector c of `energy_coefficients`, so M_k = sum_i c_i LR(Delta^(n-i)) with
-i = 0 the Chow form.  The pair (v_k, w_k) of `build_pair_vectors` is the
-paper's tensor form of the same energy, held as two integer exponent vectors
-over the stored polynomials with v_k - w_k = c.  The value at the identity
-is exactly zero.  The analytic normalization -(n+1)(n-k+1)V is already
-folded into the integer coefficients; the quadrature module uses the same
-normalization so slopes match.
+with R = Delta^(n) the Chow form; `energy_terms` lists the rows of this sum.
+They net to one integer vector c (`energy_coefficients`), so
+M_k = sum_{i=0}^{k} c_i LR_i with LR_i = LR(Delta^(n-i)), i = 0 the Chow
+form.  `energy_sum` forms sum_i c_i value(i) for every quantity built from
+M_k: log-norm ratios give the energy, moment matrices its gradient, minimal
+weights the slope A_k.  The pair (v_k, w_k) of `build_pair_vectors` is the
+paper's tensor form of the same energy, two integer exponent vectors over the
+stored polynomials with v_k - w_k = c.  The value at the identity is exactly
+zero.  The analytic normalization -(n+1)(n-k+1)V is already folded into the
+integer coefficients; the quadrature module uses the same normalization so
+slopes match.
 """
 
 from __future__ import annotations
@@ -68,69 +69,42 @@ def build_pair_vectors(instance: VarietyInstance, k: int) -> tuple:
     return tuple(v), tuple(w)
 
 
-@dataclass(frozen=True)
-class TermContribution:
-    """Term i of `combine`; value_hyper and value_chow are the values at
-    Delta^(n-i) and at the Chow form (log-norm ratios for an energy)."""
-
-    i: int
-    coefficient: int  # (-1)^{i+1} C(n-i, n-k)
-    deg_chow: int
-    deg_hyper: int
-    value_hyper: object
-    value_chow: object
-    contribution: object
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    k: int
-    n: int
-    terms: tuple
-    total: object
-
-
-def combine(instance, k, value) -> EnergyBreakdown:
-    """sum_{i=1}^{k} (-1)^{i+1} C(n-i, n-k) [deg(R) value(i) - deg(Delta^(n-i)) value(0)].
-
-    value(i) is a per-polynomial value of Delta^(n-i), i = 0 the Chow form R:
-    a float, a numpy array or an integer.  value(0) is taken first, then
-    value(1), ..., value(k), and the terms are added in that order.
-    """
+def energy_terms(instance, k) -> tuple:
+    """The rows (i, (-1)^{i+1} C(n-i, n-k), deg R, deg Delta^(n-i)) of M_k, i = 1..k."""
     _check_admissible(instance, k)
     n = instance.n
     dv = degree_vector(instance.data, k)
-    at_chow = value(0)
-    terms = []
-    total = None
-    for i in range(1, k + 1):
-        coeff = (-1) ** (i + 1) * comb(n - i, n - k)
-        at_i = value(i)
-        contribution = coeff * (dv[0] * at_i - dv[i] * at_chow)
-        terms.append(
-            TermContribution(
-                i=i,
-                coefficient=coeff,
-                deg_chow=dv[0],
-                deg_hyper=dv[i],
-                value_hyper=at_i,
-                value_chow=at_chow,
-                contribution=contribution,
-            )
-        )
-        total = contribution if total is None else total + contribution
-    return EnergyBreakdown(k=k, n=n, terms=tuple(terms), total=total)
+    return tuple((i, (-1) ** (i + 1) * comb(n - i, n - k), dv[0], dv[i]) for i in range(1, k + 1))
 
 
 def energy_coefficients(instance, k) -> tuple:
-    """The integer vector c with M_k = sum_{i=0}^{k} c_i LR(Delta^(n-i))."""
-    unit = np.eye(k + 1, dtype=np.int64)
-    return tuple(int(c) for c in combine(instance, k, lambda i: unit[i]).total)
+    """The integer vector c with M_k = sum_{i=0}^{k} c_i LR(Delta^(n-i)):
+    c_i = a_i deg R for i >= 1 and c_0 = -sum_i a_i deg Delta^(n-i), a_i the
+    sign-binomial of row i."""
+    rows = energy_terms(instance, k)
+    return (-sum(a * deg_hyper for _, a, _, deg_hyper in rows),) + tuple(
+        a * deg_chow for _, a, deg_chow, _ in rows)
 
 
-def energy_via_formula(instance, sigma, k) -> EnergyBreakdown:
-    """M_k(sigma) with its per-index breakdown over the log-norm ratios."""
-    return combine(instance, k, lambda i: log_norm_ratio(sigma, instance.polynomial(i)))
+def energy_sum(instance, k, value):
+    """sum_{i=0}^{k} c_i value(i), value(i) a float, numpy array or integer
+    per stored polynomial Delta^(n-i); taken in the order i = 0, ..., k."""
+    return sum(c * value(i) for i, c in enumerate(energy_coefficients(instance, k)))
+
+
+@dataclass(frozen=True)
+class EnergyValue:
+    """M_k(sigma) and the log-norm ratios LR_0, ..., LR_k it nets."""
+
+    total: float
+    ratios: tuple
+
+
+def energy_via_formula(instance, sigma, k) -> EnergyValue:
+    """M_k(sigma) = sum_i c_i LR_i, with the ratios LR_i."""
+    _check_admissible(instance, k)
+    ratios = tuple(log_norm_ratio(sigma, instance.polynomial(i)) for i in range(k + 1))
+    return EnergyValue(total=energy_sum(instance, k, ratios.__getitem__), ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +118,11 @@ def _gradient_matrix(instance, sigma, k):
     Write q = sigma . P.  Then d/ds log |(sigma e^{s xi}) . P|^2 is
     2 Re <D q, q>/|q|^2 with D = sum_jc eta_jc L_jc, eta = sigma xi sigma^-1,
     so each stored polynomial contributes one moment matrix (one dense
-    substitution).  `combine` turns them into the energy moment W, and
+    substitution).  `energy_sum` nets them into the energy moment W, and
     2 Re sum_jc eta_jc W_jc = 2 Re tr(xi G) with G = sigma^-1 W^T sigma.
     """
-    w = combine(instance, k, lambda i: moment_matrix(
-        dense_image(sigma, dense_form(instance.polynomial(i))), sigma.size)).total
+    w = energy_sum(instance, k, lambda i: moment_matrix(
+        dense_image(sigma, dense_form(instance.polynomial(i))), sigma.size))
     s = sigma.matrix
     return np.linalg.solve(s, w.T @ s)
 

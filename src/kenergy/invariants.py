@@ -91,9 +91,6 @@ class FormatRange:
     hi: int
     admissible_k: tuple = field(default=())
 
-    def __contains__(self, fmt):
-        return self.lo <= fmt <= self.hi
-
 
 def format_range(data: VarietyData) -> FormatRange:
     """Formats [delta(X), n]; M_k is computable iff n - k >= delta(X)."""

@@ -7,7 +7,7 @@ column-degree vectors.  Every sparse norm, diagonal ratio and weight reads
 that table (`weight_classes`).  Log-norms are evaluated in floating point with
 max-term factoring (a log-sum-exp), so one-parameter degenerations down to
 |t| ~ 1e-300 stay finite.  Everything here is per stored polynomial;
-kenergy.energy combines the values with integer coefficients, so the tensors
+kenergy.energy nets the values with one integer vector c, so the tensors
 of the pair (v_k, w_k) are never formed.  A log-norm ratio is computed afresh
 at each call: a diagonal sigma from the weight-class table, an exact one
 through `exactpoly.right_substitute`, a floating one on the dense lane
@@ -170,16 +170,14 @@ def weight_classes(p: MatrixPoly):
         raise ZeroPolynomialError("norm of the zero polynomial")
     exps, logs = [], []
     for exp, coeff in p.term_dict().items():
-        if isinstance(coeff, Fraction):
-            logs.append(2.0 * (math.log(abs(coeff.numerator)) - math.log(coeff.denominator)))
-        else:
+        if not isinstance(coeff, Fraction):
             size = abs(coeff)  # log|c|^2 as 2 log|c|: |c|^2 overflows from |c| ~ 1e154
             if not math.isfinite(size):
                 raise KEnergyError(f"coefficient {coeff} is not finite; give sigma exactly "
                                    "(integer or rational strings) to use the exact lane")
             if size == 0.0:
                 continue
-            logs.append(2.0 * math.log(size))
+        logs.append(2.0 * _log_abs(coeff))
         exps.append(exp)
     if not exps:
         raise ZeroPolynomialError("norm of a numerically zero polynomial")
@@ -190,6 +188,13 @@ def weight_classes(p: MatrixPoly):
     top = np.full(len(degrees), -np.inf)
     np.maximum.at(top, which, logs)
     return degrees, top + np.log(np.bincount(which, np.exp(logs - top[which]), len(degrees)))
+
+
+def _log_abs(v) -> float:
+    """log|v|; for a Fraction log|num| - log den, finite far outside the float range."""
+    if isinstance(v, Fraction):
+        return math.log(abs(v.numerator)) - math.log(v.denominator)
+    return math.log(abs(v))
 
 
 def _log_sum_exp(logs) -> float:
@@ -232,7 +237,7 @@ def log_norm_ratio(sigma: GroupElement, p: MatrixPoly) -> float:
         )
     if sigma.is_diagonal:
         return diagonal_log_ratio(weight_classes(p), [
-            math.log(abs(complex(sigma.entries[j][j]))) for j in range(sigma.size)])
+            _log_abs(sigma.entries[j][j]) for j in range(sigma.size)])
     if sigma.exact:
         return log_fs_norm_sq(right_substitute(p, sigma.entries)) - log_fs_norm_sq(p)
     form = dense_form(p)

@@ -7,6 +7,8 @@ from kenergy.asymptotics import (
     stability_scan,
     weight_vectors,
 )
+from kenergy.catalog import save_instance
+from kenergy.cli import main
 from kenergy.energy import build_pair_vectors
 from kenergy.errors import KEnergyError
 from kenergy.pairing import OneParamSubgroup
@@ -194,3 +196,26 @@ def test_scan_verdict_names_the_coordinate_torus(quadric_surface):
     report = stability_scan(quadric_surface, 2, 4)
     assert not report.destabilizer_found
     assert report.verdict == "no destabilizer on the coordinate torus at bound 4"
+
+
+@pytest.mark.parametrize("fit", [(), ("--fit", "1e-1:1e-5:5")])
+def test_asymptotics_builds_one_table_per_stored_polynomial(quadric_surface, tmp_path, capsys,
+                                                          monkeypatch, fit):
+    # a fit reads A_k from the k + 1 tables it builds; the slope alone builds them once
+    import kenergy.asymptotics
+    import kenergy.pairing
+
+    save_instance(quadric_surface, tmp_path)
+    built = []
+    original = kenergy.pairing.weight_classes
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    monkeypatch.setattr(kenergy.pairing, "weight_classes", counting)
+    monkeypatch.setattr(kenergy.asymptotics, "weight_classes", counting)
+    assert main(["asymptotics", "--instance", str(tmp_path), "--k", "2",
+                 "--lambda", "3,-1,-1,-1", *fit]) == 0
+    capsys.readouterr()
+    assert len(built) == 3

@@ -1,7 +1,9 @@
 import json
+import math
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,16 @@ from kenergy.catalog import (
     validate_instance,
 )
 from kenergy.cli import build_parser, main
-from kenergy.energy import energy_via_formula, minimize_energy, random_sl, sl_basis
-from kenergy.exactpoly import MatrixPoly
+from kenergy.energy import (
+    energy_coefficients,
+    energy_via_formula,
+    minimize_energy,
+    random_sl,
+    sl_basis,
+)
+from kenergy.exactpoly import MatrixPoly, right_substitute
 from kenergy.pairing import GroupElement
+from oracles import fs_norm_sq_exact
 
 
 def run_cli(capsys, *argv):
@@ -350,6 +359,28 @@ def test_norm_beyond_the_float_range_is_a_domain_error(capsys, tmp_path):
     assert code == 1
     message = json.loads(out)["error"]["message"]
     assert "exp(921.03403719" in message  # the log norm, 400 log 10
+
+
+@pytest.mark.parametrize("exponents", [(-400, 200, 200), (400, -200, -200)])
+def test_exact_diagonal_sigma_beyond_the_float_range(capsys, conic_dir, tmp_path, exponents):
+    # complex(Fraction(1, 10**400)) is 0 and complex(Fraction(10**400)) overflows;
+    # the oracle takes log num - log den of the exact ratios |sigma.P_i|^2 / |P_i|^2
+    diag = [Fraction(10) ** e for e in exponents]
+    sigma = tmp_path / "far.json"
+    sigma.write_text(json.dumps([[{"re": str(diag[i])} if i == j else 0 for j in range(3)]
+                                 for i in range(3)]))
+    code, out = run_cli(capsys, "energy", "--instance", conic_dir, "--k", "1",
+                        "--sigma", str(sigma))
+    assert code == 0
+    instance = load_instance(conic_dir)
+    entries = GroupElement.diagonal(diag).entries
+    expected = 0.0
+    for i, c in enumerate(energy_coefficients(instance, 1)):
+        p = instance.polynomial(i)
+        ratio = fs_norm_sq_exact(right_substitute(p, entries)) / fs_norm_sq_exact(p)
+        expected += c * (math.log(ratio.numerator) - math.log(ratio.denominator))
+    mk = json.loads(out)["result"]["Mk"]
+    assert abs(mk - expected) <= 1e-12 * abs(expected)
 
 
 def test_gaussian_rational_sigma_matches_its_float_copy(tmp_path, capsys, conic_dir):

@@ -9,6 +9,7 @@ from kenergy.energy import (
     build_pair_vectors,
     directional_derivative,
     energy_coefficients,
+    energy_terms,
     energy_via_formula,
     minimize_energy,
     sl_basis,
@@ -103,10 +104,11 @@ def test_symbolic_recursion_k1_reduces_to_two_terms(conic):
     # M_1 = 4 LR(D) - 2 LR(R): one term of the sum, two log-norm ratios
     assert energy_coefficients(conic, 1) == (-2, 4)
     sigma = random_float_sl(3, np.random.default_rng(22))
-    breakdown = energy_via_formula(conic, sigma, 1)
-    assert len(breakdown.terms) == 1
+    assert len(energy_terms(conic, 1)) == 1
+    value = energy_via_formula(conic, sigma, 1)
     ratios = [log_norm_ratio(sigma, conic.polynomial(i)) for i in range(2)]
-    assert abs(breakdown.total - (4 * ratios[1] - 2 * ratios[0])) < 1e-9
+    assert value.ratios == tuple(ratios)
+    assert abs(value.total - (4 * ratios[1] - 2 * ratios[0])) < 1e-9
 
 
 def test_exact_and_floating_sigma_agree(conic, quadric_surface):
@@ -171,12 +173,17 @@ def test_energy_cocycle(quadric_surface):
 def test_breakdown_fields(quadric_surface):
     rng = np.random.default_rng(8)
     sigma = random_float_sl(4, rng)
-    breakdown = energy_via_formula(quadric_surface, sigma, 2)
-    assert [t.i for t in breakdown.terms] == [1, 2]
-    assert [t.coefficient for t in breakdown.terms] == [1, -1]
-    assert breakdown.terms[0].deg_chow == 6
-    assert [t.deg_hyper for t in breakdown.terms] == [4, 2]
-    assert abs(sum(t.contribution for t in breakdown.terms) - breakdown.total) < 1e-12
+    rows = energy_terms(quadric_surface, 2)
+    assert [row[0] for row in rows] == [1, 2]
+    assert [row[1] for row in rows] == [1, -1]
+    assert [row[2] for row in rows] == [6, 6]
+    assert [row[3] for row in rows] == [4, 2]
+    value = energy_via_formula(quadric_surface, sigma, 2)
+    lr = value.ratios
+    assert len(lr) == 3
+    contributions = [a * (deg_chow * lr[i] - deg_hyper * lr[0])
+                     for i, a, deg_chow, deg_hyper in rows]
+    assert abs(sum(contributions) - value.total) < 1e-12
 
 
 def test_directional_derivative_matches_finite_differences(conic, twisted_cubic, quadric_surface):

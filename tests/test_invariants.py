@@ -82,7 +82,6 @@ def test_format_range_examples():
     fr = format_range(data)
     assert (fr.lo, fr.hi) == (2, 4)
     assert fr.admissible_k == (1, 2)
-    assert 3 in fr and 5 not in fr
 
 
 def test_variety_data_invariants():
